@@ -28,10 +28,7 @@ from .estimators import (
     SampleStats,
     ShapeParams,
     estimate,
-    estimate_baseline,
-    estimate_dual,
     estimate_many,
-    estimate_shape,
     transform_coefficients,
 )
 from .mse import (
@@ -41,11 +38,7 @@ from .mse import (
     default_table_specs,
     efficiency_table,
     first_order_bias,
-    mse_baseline,
-    mse_dual,
-    mse_shape,
     optimal_dual,
-    optimal_shape,
     pre,
     quadratic_form,
     resolve_spec,
@@ -54,7 +47,6 @@ from .montecarlo import (
     EmpiricalReport,
     EstimatorOutcome,
     FinitePopulation,
-    RelativeDeviations,
     draw_stratified_srswor,
     enumerate_exact_moments,
     enumeration_count,
@@ -78,7 +70,6 @@ __all__ = [
     "MicrodataStratum",
     "MseResult",
     "QuadraticMseForm",
-    "RelativeDeviations",
     "SampleStats",
     "ShapeParams",
     "StratumSummary",
@@ -93,18 +84,11 @@ __all__ = [
     "enumerate_exact_moments",
     "enumeration_count",
     "estimate",
-    "estimate_baseline",
-    "estimate_dual",
     "estimate_many",
-    "estimate_shape",
     "first_order_bias",
     "get_dataset",
     "microdata_from_columns",
-    "mse_baseline",
-    "mse_dual",
-    "mse_shape",
     "optimal_dual",
-    "optimal_shape",
     "pre",
     "quadratic_form",
     "replicate",

@@ -25,6 +25,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -84,6 +85,21 @@ class RunConfig:
 # ingestion
 
 
+def _finite(value) -> float:
+    """A JSON number as a float; NaN, infinities and overflow are rejected."""
+    out = float(value)
+    if not math.isfinite(out):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return out
+
+
+def _count(value) -> int:
+    """A JSON count as an int; booleans and fractional values are rejected."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer count, got {value!r}")
+    return int(value)
+
+
 def _summary_from_json(path: str) -> DesignSummary:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -106,30 +122,35 @@ def _summary_from_json(path: str) -> DesignSummary:
             )
         try:
             common = dict(
-                index=int(row.get("index", pos)),
-                N=int(row["N"]),
-                n=int(row["n"]),
-                mean_y=float(row["mean_y"]),
-                mean_x=float(row["mean_x"]),
-                var_y=float(row["var_y"]),
-                var_x=float(row["var_x"]),
+                index=_count(row.get("index", pos)),
+                N=_count(row["N"]),
+                n=_count(row["n"]),
+                mean_y=_finite(row["mean_y"]),
+                mean_x=_finite(row["mean_x"]),
+                var_y=_finite(row["var_y"]),
+                var_x=_finite(row["var_x"]),
             )
             if has_rho:
                 stratum = StratumSummary.from_correlation(
-                    rho=float(row["rho"]), **common
+                    rho=_finite(row["rho"]), **common
                 )
             else:
-                stratum = StratumSummary(cov_xy=float(row["cov_xy"]), **common)
+                stratum = StratumSummary(cov_xy=_finite(row["cov_xy"]), **common)
         except KeyError as exc:
             raise SchemaError(f"{path}: stratum {pos} missing field {exc}") from None
         except (TypeError, ValueError) as exc:
             raise ParseError(f"{path}: stratum {pos}: {exc}") from None
         strata.append(stratum)
     known = payload.get("known_mean_x")
+    if known is not None:
+        try:
+            known = _finite(known)
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"{path}: known_mean_x: {exc}") from None
     return validate_design(
         DesignSummary(
             tuple(strata),
-            known_mean_x=None if known is None else float(known),
+            known_mean_x=known,
             label=str(payload.get("label", Path(path).stem)),
         )
     )
@@ -141,7 +162,7 @@ def _design_from_csv(path: str) -> DesignSummary:
         raise SchemaError(f"{sidecar}: sample-size sidecar not found")
     try:
         sizes_raw = json.loads(sidecar.read_text(encoding="utf-8"))
-        sizes = {int(k): int(v) for k, v in sizes_raw.items()}
+        sizes = {int(k): _count(v) for k, v in sizes_raw.items()}
     except (json.JSONDecodeError, TypeError, ValueError, AttributeError):
         raise SchemaError(
             f"{sidecar}: must map stratum label to sample size"
@@ -289,18 +310,17 @@ def _specs_from_config(config: RunConfig) -> list[EstimatorSpec]:
     return specs
 
 
+def _constant_columns(constants: dict[str, float]) -> dict:
+    """The k1, k2, w, p, a, b report columns; empty where a kind has none."""
+    return {name: constants.get(name) for name in ("k1", "k2", "w", "p", "a", "b")}
+
+
 def _result_row(result) -> dict:
-    c = result.constants
     return {
         "estimator": result.label,
         "mse": result.mse,
         "pre": result.pre,
-        "k1": c.get("k1"),
-        "k2": c.get("k2"),
-        "w": c.get("w"),
-        "p": c.get("p"),
-        "a": c.get("a"),
-        "b": c.get("b"),
+        **_constant_columns(result.constants),
         "bias": result.bias,
     }
 
@@ -335,17 +355,11 @@ def _cmd_estimate(config: RunConfig) -> int:
     for spec in _specs_from_config(config):
         resolved = resolve_spec(spec, m)
         value = estimate_point(resolved, stats, m.mean_x)
-        c = resolved.constants()
         rows.append(
             {
                 "estimator": resolved.label,
                 "estimate": value,
-                "k1": c.get("k1"),
-                "k2": c.get("k2"),
-                "w": c.get("w"),
-                "p": c.get("p"),
-                "a": c.get("a"),
-                "b": c.get("b"),
+                **_constant_columns(resolved.constants()),
             }
         )
     _write(config, Emitter(config.output_format, config.full_precision).render(rows))
@@ -422,16 +436,10 @@ def _cmd_simulate(config: RunConfig) -> int:
     )
     rows = []
     for r in report.rows:
-        c = r.constants
         rows.append(
             {
                 "estimator": r.label,
-                "k1": c.get("k1"),
-                "k2": c.get("k2"),
-                "w": c.get("w"),
-                "p": c.get("p"),
-                "a": c.get("a"),
-                "b": c.get("b"),
+                **_constant_columns(r.constants),
                 "reps": r.reps,
                 "valid": r.valid,
                 "errors": ";".join(f"{k}:{v}" for k, v in sorted(r.error_counts.items())),
@@ -469,6 +477,16 @@ _COMMANDS = {
 
 # ---------------------------------------------------------------------------
 # argument parsing
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -549,9 +567,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte Carlo agreement report")
     common(p)
     estimator_flags(p)
-    p.add_argument("--reps", type=int, default=200_000)
+    p.add_argument("--reps", type=_positive_int, default=200_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument(
         "--strict",
         action="store_true",

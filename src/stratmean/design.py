@@ -93,14 +93,6 @@ class StratumSummary:
             return 0.0
         return self.cov_xy / denom
 
-    def cv_y(self, pop_mean_y: float) -> float:
-        """Stratum sd of y relative to the population mean of y."""
-        return self.sd_y / pop_mean_y
-
-    def cv_x(self, pop_mean_x: float) -> float:
-        """Stratum sd of x relative to the population mean of x."""
-        return self.sd_x / pop_mean_x
-
     def check(self) -> None:
         """Raise if any stratum invariant is violated."""
         if self.N <= 0 or self.n <= 0:

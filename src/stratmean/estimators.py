@@ -15,8 +15,8 @@ The baselines are the plain stratified mean, the combined ratio estimator
 and add a difference term ``k2 * (mean_x - xbar_st)``: T3/T4 transform the
 whole combination, T5/T6 transform only the scaled study term.
 
-All functions are pure; scalar entry points raise typed errors while the
-batch evaluator flags invalid draws instead.
+All functions are pure; the scalar ``estimate`` raises typed errors while
+the batch evaluator flags invalid draws instead.
 """
 
 from __future__ import annotations
@@ -84,16 +84,6 @@ class ShapeParams:
     b: float | None = None
 
     @property
-    def slope_num(self) -> float:
-        """First-order coefficient contributed by the mixing numerator."""
-        return self.p * (1.0 - self.a)  # type: ignore[operator]
-
-    @property
-    def slope_den(self) -> float:
-        """First-order coefficient contributed by the mixing denominator."""
-        return self.p * (1.0 - self.b)  # type: ignore[operator]
-
-    @property
     def delta(self) -> float:
         """First-order coefficient p*(b-a) of the mixing transform.
 
@@ -119,12 +109,10 @@ class ShapeParams:
 
 @dataclass(frozen=True)
 class SampleStats:
-    """Observed combined sample means, optionally with per-stratum means."""
+    """Observed combined sample means."""
 
     ybar_st: float
     xbar_st: float
-    stratum_ybars: tuple[float, ...] | None = None
-    stratum_xbars: tuple[float, ...] | None = None
 
     @classmethod
     def from_stratum_means(
@@ -135,7 +123,7 @@ class SampleStats:
     ) -> "SampleStats":
         yb = sum(w * v for w, v in zip(weights, ybars))
         xb = sum(w * v for w, v in zip(weights, xbars))
-        return cls(yb, xb, tuple(ybars), tuple(xbars))
+        return cls(yb, xb)
 
 
 @dataclass(frozen=True)
@@ -270,8 +258,8 @@ def estimate_many(
     """Evaluate one estimator on arrays of combined sample means.
 
     Invalid draws (zero denominators, non-real powers) are masked out and
-    tallied by error code rather than raised; the scalar entry points below
-    share this code path and raise instead.
+    tallied by error code rather than raised; the scalar ``estimate`` below
+    shares this code path and raises instead.
     """
     kind = spec.kind
     ybar = np.asarray(ybar_st, dtype=float)
@@ -313,7 +301,8 @@ def estimate_many(
     return BatchEstimates(values=values, valid=valid, error_counts=counts)
 
 
-def _scalar(spec: EstimatorSpec, stats: SampleStats, mean_x: float) -> float:
+def estimate(spec: EstimatorSpec, stats: SampleStats, mean_x: float) -> float:
+    """Evaluate any estimator spec with fully resolved constants."""
     batch = estimate_many(
         spec, np.array([stats.ybar_st]), np.array([stats.xbar_st]), mean_x
     )
@@ -326,42 +315,3 @@ def _scalar(spec: EstimatorSpec, stats: SampleStats, mean_x: float) -> float:
             f"{spec.kind.value}: fractional power of a non-positive base"
         )
     return float(batch.values[0])
-
-
-def estimate_baseline(kind: EstimatorKind, stats: SampleStats, mean_x: float) -> float:
-    """Plain stratified mean, combined ratio, or combined product estimate."""
-    if kind not in (
-        EstimatorKind.UNBIASED,
-        EstimatorKind.COMBINED_RATIO,
-        EstimatorKind.COMBINED_PRODUCT,
-    ):
-        raise ValueError(f"not a baseline estimator: {kind.value}")
-    return _scalar(EstimatorSpec(kind), stats, mean_x)
-
-
-def estimate_shape(
-    kind: EstimatorKind, stats: SampleStats, mean_x: float, shape: ShapeParams
-) -> float:
-    """T1 or T2: one transform applied to the stratified mean."""
-    if kind not in (EstimatorKind.T1, EstimatorKind.T2):
-        raise ValueError(f"not a shape estimator: {kind.value}")
-    return _scalar(EstimatorSpec(kind, shape=shape), stats, mean_x)
-
-
-def estimate_dual(
-    kind: EstimatorKind,
-    stats: SampleStats,
-    mean_x: float,
-    shape: ShapeParams,
-    k1: float,
-    k2: float,
-) -> float:
-    """T3..T6: transform plus difference term with constants (k1, k2)."""
-    if not kind.is_dual:
-        raise ValueError(f"not a dual-constant estimator: {kind.value}")
-    return _scalar(EstimatorSpec(kind, shape=shape, k1=k1, k2=k2), stats, mean_x)
-
-
-def estimate(spec: EstimatorSpec, stats: SampleStats, mean_x: float) -> float:
-    """Evaluate any estimator spec with fully resolved constants."""
-    return _scalar(spec, stats, mean_x)

@@ -81,20 +81,6 @@ class FinitePopulation:
 
 
 @dataclass(frozen=True)
-class RelativeDeviations:
-    """Relative deviations of one draw's combined means from the truth."""
-
-    e0: float  # ybar_st / mean_y - 1
-    e1: float  # xbar_st / mean_x - 1
-
-    @classmethod
-    def from_sample(
-        cls, stats: SampleStats, mean_y: float, mean_x: float
-    ) -> "RelativeDeviations":
-        return cls(stats.ybar_st / mean_y - 1.0, stats.xbar_st / mean_x - 1.0)
-
-
-@dataclass(frozen=True)
 class EstimatorOutcome:
     """Replication summary for one estimator."""
 
@@ -225,7 +211,7 @@ def draw_stratified_srswor(
     sample_sizes: Sequence[int],
     seed: int | np.random.Generator | None = None,
 ) -> SampleStats:
-    """One stratified SRSWOR draw; returns combined and per-stratum means."""
+    """One stratified SRSWOR draw; returns its combined sample means."""
     n = _check_sample_sizes(pop, sample_sizes)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     ybars = []

@@ -5,30 +5,28 @@ stratified SRSWOR, E[e0] = E[e1] = 0 and the second moments are the
 combined design moments scaled by the population means.  Expanding an
 estimator's auxiliary transform as 1 + phi1*e1 + phi2*e1**2 (see
 ``estimators.transform_coefficients``) and keeping every term whose
-expectation is of first order gives:
+expectation is of first order gives, for every estimator, one quadratic
+in the dual constants (k1, k2):
 
-* shape estimators (k1 = 1, no difference term)
+      MSE(k1, k2) = mean_y**2 (k1-1)**2 + s k1**2 + 2 c k1 (k1-1)
+                    + b k2**2 + 2 d k2 - 2 e k1 k2
 
-      bias = phi1 * cov_xybar / mean_x + phi2 * mean_y * var_xbar / mean_x**2
-      MSE  = var_ybar + phi1**2 R**2 var_xbar + 2 phi1 R cov_xybar
+      bias(k1, k2) = (k1-1) mean_y + k1 B - kappa k2 phi1 var_xbar / mean_x
 
-* dual estimators, an exact quadratic in (k1, k2)
+with kappa = 1 when the transform multiplies the whole combination
+(T3, T4) and 0 otherwise, and
 
-      MSE(k1, k2) = mean_y**2 (k1-1)**2 + a k1**2 + b k2**2
-                    - 2 c k1 + 2 d k2 - 2 e k1 k2
-
-  with, writing kappa = 1 when the transform multiplies the whole
-  combination (T3, T4) and 0 when it scales only the study term (T5, T6):
-
-      a = var_ybar + phi1**2 R**2 var_xbar
-          + 4 phi1 R cov_xybar + 2 phi2 R**2 var_xbar
+      s = var_ybar + phi1**2 R**2 var_xbar + 2 phi1 R cov_xybar
+      B = phi1 cov_xybar / mean_x + phi2 mean_y var_xbar / mean_x**2
       b = var_xbar
       c = phi1 R cov_xybar + phi2 R**2 var_xbar
       d = kappa * phi1 * R * var_xbar
       e = cov_xybar + (1 + kappa) * phi1 * R * var_xbar
 
-At (k1, k2) = (1, 0) the quadratic collapses to the shape-estimator MSE.
-The optimum solves the 2x2 normal equations
+The plain mean, the combined ratio and product estimators, T1 and T2 sit
+at (k1, k2) = (1, 0), where the MSE is s and the bias B.  The dual
+estimators T3..T6 move off it; writing a = s + 2 c, their optimum solves
+the 2x2 normal equations
 
       (mean_y**2 + a) k1 - e k2 = mean_y**2 + c
       -e k1 + b k2 = -d
@@ -57,44 +55,58 @@ SINGULAR_REL_TOL = 1e-12
 
 @dataclass(frozen=True)
 class QuadraticMseForm:
-    """Coefficients of the dual-estimator MSE surface (module docstring)."""
+    """Coefficients of the MSE(k1, k2) surface (module docstring).
+
+    ``s`` is the MSE at (k1, k2) = (1, 0), so ``value(1, 0)`` returns it
+    exactly; the docstring's ``a`` is ``s + 2 c``.
+    """
 
     ybar_sq: float
-    a: float
+    s: float
     b: float
     c: float
     d: float
     e: float
 
+    @property
+    def a(self) -> float:
+        return self.s + 2.0 * self.c
+
     def value(self, k1: float, k2: float) -> float:
         return (
             self.ybar_sq * (k1 - 1.0) ** 2
-            + self.a * k1 * k1
+            + self.s * k1 * k1
+            + 2.0 * self.c * k1 * (k1 - 1.0)
             + self.b * k2 * k2
-            - 2.0 * self.c * k1
             + 2.0 * self.d * k2
             - 2.0 * self.e * k1 * k2
         )
 
-    def optimum(self) -> tuple[float, float, bool]:
-        """Solve the normal equations; returns (k1, k2, singular).
+    @property
+    def singular(self) -> bool:
+        """True when the 2x2 normal equations are singular.
 
-        When the 2x2 system is singular (within SINGULAR_REL_TOL of its
-        natural scale) the optimum along the non-degenerate direction is
-        returned with k2 = 0 and the flag set.
+        |det| within SINGULAR_REL_TOL of its natural scale counts as zero.
         """
         m11 = self.ybar_sq + self.a
         det = self.b * m11 - self.e * self.e
         scale = max(abs(self.b * m11), self.e * self.e, 1e-300)
-        if abs(det) <= SINGULAR_REL_TOL * scale:
-            # flat or missing k2 direction: optimize k1 alone at k2 = 0
-            k1 = (self.ybar_sq + self.c) / m11 if m11 != 0.0 else 1.0
-            return k1, 0.0, True
+        return abs(det) <= SINGULAR_REL_TOL * scale
+
+    def optimum(self) -> tuple[float, float]:
+        """Solve the normal equations for the MSE-minimizing (k1, k2).
+
+        When the system is ``singular`` the optimum along the
+        non-degenerate direction is returned, with k2 = 0.
+        """
+        m11 = self.ybar_sq + self.a
         r1 = self.ybar_sq + self.c
+        if self.singular:
+            # flat or missing k2 direction: optimize k1 alone at k2 = 0
+            return (r1 / m11 if m11 != 0.0 else 1.0), 0.0
+        det = self.b * m11 - self.e * self.e
         r2 = -self.d
-        k1 = (self.b * r1 + self.e * r2) / det
-        k2 = (m11 * r2 + self.e * r1) / det
-        return k1, k2, False
+        return (self.b * r1 + self.e * r2) / det, (m11 * r2 + self.e * r1) / det
 
 
 @dataclass(frozen=True)
@@ -114,191 +126,85 @@ class MseResult:
         return self.kind.value
 
 
-def _shape_mse(phi1: float, m: CombinedMoments) -> float:
-    r = m.ratio
-    return m.var_ybar + phi1 * phi1 * r * r * m.var_xbar + 2.0 * phi1 * r * m.cov_xybar
-
-
-def _shape_bias(phi1: float, phi2: float, m: CombinedMoments) -> float:
-    return (
-        phi1 * m.cov_xybar / m.mean_x
-        + phi2 * m.mean_y * m.var_xbar / (m.mean_x * m.mean_x)
-    )
-
-
 def pre(mse_value: float, m: CombinedMoments) -> float:
     """Percent relative efficiency against the plain stratified mean."""
-    if mse_value <= 0.0:
+    if not mse_value > 0.0:  # also rejects nan
         raise ZeroMse(f"cannot form PRE for MSE {mse_value!r}")
     return 100.0 * m.var_ybar / mse_value
 
 
-def _result(
-    kind: EstimatorKind,
-    mse_value: float,
-    bias_value: float,
-    m: CombinedMoments,
-    constants: dict[str, float],
-    **flags: bool,
-) -> MseResult:
-    return MseResult(
-        kind=kind,
-        mse=mse_value,
-        bias=bias_value,
-        pre=pre(mse_value, m),
-        constants=constants,
-        **flags,
-    )
-
-
-def mse_baseline(kind: EstimatorKind, m: CombinedMoments) -> MseResult:
-    """First-order MSE of the plain mean, combined ratio, or combined product."""
-    if kind not in (
-        EstimatorKind.UNBIASED,
-        EstimatorKind.COMBINED_RATIO,
-        EstimatorKind.COMBINED_PRODUCT,
-    ):
-        raise ValueError(f"not a baseline estimator: {kind.value}")
-    phi1, phi2 = transform_coefficients(kind)
-    return _result(kind, _shape_mse(phi1, m), _shape_bias(phi1, phi2, m), m, {})
-
-
-def _shape_for_param(kind: EstimatorKind, param: float) -> ShapeParams:
-    """Canonical ShapeParams for a scalar family parameter.
-
-    For the exponent family the parameter is w itself; for the mixing
-    family it is the first-order coefficient delta, represented as
-    (p, a, b) = (1, 0, delta).
-    """
-    if kind.uses_exponent:
-        return ShapeParams(w=param)
-    return ShapeParams(p=1.0, a=0.0, b=param)
-
-
-def mse_shape(kind: EstimatorKind, param: float, m: CombinedMoments) -> MseResult:
-    """First-order MSE of T1 (parameter w) or T2 (parameter delta).
-
-    T1: var_ybar + w**2 R**2 var_xbar - 2 w R cov_xybar.
-    T2: var_ybar + delta**2 R**2 var_xbar + 2 delta R cov_xybar; delta = -1
-    reproduces the combined ratio MSE and delta = +1 the combined product.
-    """
-    if kind not in (EstimatorKind.T1, EstimatorKind.T2):
-        raise ValueError(f"not a shape estimator: {kind.value}")
-    shape = _shape_for_param(kind, param)
-    phi1, phi2 = transform_coefficients(kind, shape)
-    return _result(
-        kind, _shape_mse(phi1, m), _shape_bias(phi1, phi2, m), m, shape_constants(shape, kind)
-    )
-
-
-def shape_constants(shape: ShapeParams, kind: EstimatorKind) -> dict[str, float]:
-    out: dict[str, float] = {}
-    if kind.uses_exponent and shape.w is not None:
-        out["w"] = shape.w
-    if kind.uses_mixing and shape.p is not None:
-        out.update({"p": shape.p, "a": shape.a, "b": shape.b})  # type: ignore[dict-item]
-    return out
-
-
-def optimal_shape(kind: EstimatorKind, m: CombinedMoments) -> tuple[float, MseResult]:
-    """MSE-minimizing family parameter for T1 or T2 and the resulting MSE.
-
-    w_opt = cov_xybar / (R var_xbar) and delta_opt = -w_opt; both reach
-    MSE = var_ybar - cov_xybar**2 / var_xbar.  A zero auxiliary variance
-    leaves the parameter unidentified: the plain-mean MSE is returned with
-    parameter 0 and the flag set.
-    """
-    if kind not in (EstimatorKind.T1, EstimatorKind.T2):
-        raise ValueError(f"not a shape estimator: {kind.value}")
-    if m.var_xbar == 0.0:
-        shape = _shape_for_param(kind, 0.0)
-        result = _result(
-            kind, m.var_ybar, 0.0, m, shape_constants(shape, kind), shape_unidentified=True
-        )
-        return 0.0, result
-    w_opt = m.cov_xybar / (m.ratio * m.var_xbar)
-    param = w_opt if kind.uses_exponent else -w_opt
-    shape = _shape_for_param(kind, param)
-    phi1, phi2 = transform_coefficients(kind, shape)
-    mse_min = m.var_ybar - m.cov_xybar * m.cov_xybar / m.var_xbar
-    return param, _result(
-        kind, mse_min, _shape_bias(phi1, phi2, m), m, shape_constants(shape, kind)
-    )
-
-
 def quadratic_form(
-    kind: EstimatorKind, shape: ShapeParams, m: CombinedMoments
+    kind: EstimatorKind, shape: ShapeParams | None, m: CombinedMoments
 ) -> QuadraticMseForm:
-    """The MSE(k1, k2) surface of a dual estimator (module docstring)."""
-    if not kind.is_dual:
-        raise ValueError(f"not a dual-constant estimator: {kind.value}")
+    """The MSE(k1, k2) surface of any estimator (module docstring).
+
+    Only the dual kinds move off (k1, k2) = (1, 0); the others read
+    ``value(1, 0)``.
+    """
     phi1, phi2 = transform_coefficients(kind, shape)
     r = m.ratio
     kappa = 1.0 if kind.transforms_difference else 0.0
     rvx = r * m.var_xbar
-    t_cov = phi1 * r * m.cov_xybar
-    t_var = phi2 * r * rvx
     return QuadraticMseForm(
         ybar_sq=m.mean_y * m.mean_y,
-        a=_shape_mse(phi1, m) + 2.0 * t_cov + 2.0 * t_var,
+        s=m.var_ybar + phi1 * phi1 * r * r * m.var_xbar + 2.0 * phi1 * r * m.cov_xybar,
         b=m.var_xbar,
-        c=t_cov + t_var,
+        c=phi1 * r * m.cov_xybar + phi2 * r * rvx,
         d=kappa * phi1 * rvx,
         e=m.cov_xybar + (1.0 + kappa) * phi1 * rvx,
     )
 
 
-def _dual_bias(
-    kind: EstimatorKind, shape: ShapeParams, k1: float, k2: float, m: CombinedMoments
-) -> float:
-    phi1, phi2 = transform_coefficients(kind, shape)
-    bias = (k1 - 1.0) * m.mean_y + k1 * _shape_bias(phi1, phi2, m)
-    if kind.transforms_difference:
-        bias -= k2 * phi1 * m.var_xbar / m.mean_x
-    return bias
-
-
-def mse_dual(
-    kind: EstimatorKind,
-    k1: float,
-    k2: float,
-    shape: ShapeParams,
-    m: CombinedMoments,
-) -> MseResult:
-    """First-order MSE of a dual estimator at explicit constants."""
-    form = quadratic_form(kind, shape, m)
-    constants = dict(shape_constants(shape, kind), k1=k1, k2=k2)
-    return _result(
-        kind, form.value(k1, k2), _dual_bias(kind, shape, k1, k2, m), m, constants
-    )
-
-
 def optimal_dual(
     kind: EstimatorKind, shape: ShapeParams, m: CombinedMoments
-) -> tuple[float, float, MseResult]:
-    """MSE-minimizing (k1, k2) for a dual estimator and the resulting MSE."""
-    form = quadratic_form(kind, shape, m)
-    k1, k2, singular = form.optimum()
-    constants = dict(shape_constants(shape, kind), k1=k1, k2=k2)
-    return k1, k2, _result(
-        kind,
-        form.value(k1, k2),
-        _dual_bias(kind, shape, k1, k2, m),
-        m,
-        constants,
-        singular_system=singular,
-    )
+) -> tuple[float, float]:
+    """MSE-minimizing (k1, k2) of a dual estimator at the given shape."""
+    return quadratic_form(kind, shape, m).optimum()
+
+
+def _dual_constants(spec: EstimatorSpec) -> tuple[float, float]:
+    """(k1, k2) of a resolved spec; (1, 0) for the kinds without them."""
+    if not spec.kind.is_dual:
+        return 1.0, 0.0
+    if spec.k1 is None or spec.k2 is None:
+        raise ValueError(f"{spec.kind.value} requires explicit (k1, k2)")
+    return spec.k1, spec.k2
 
 
 def first_order_bias(spec: EstimatorSpec, m: CombinedMoments) -> float:
     """First-order bias of any estimator spec with resolved constants."""
     kind = spec.kind
-    if kind.is_dual:
-        if spec.k1 is None or spec.k2 is None:
-            raise ValueError(f"{kind.value} requires explicit (k1, k2)")
-        return _dual_bias(kind, spec.shape or ShapeParams(), spec.k1, spec.k2, m)
+    k1, k2 = _dual_constants(spec)
     phi1, phi2 = transform_coefficients(kind, spec.shape)
-    return _shape_bias(phi1, phi2, m)
+    kappa = 1.0 if kind.transforms_difference else 0.0
+    shape_bias = (
+        phi1 * m.cov_xybar / m.mean_x
+        + phi2 * m.mean_y * m.var_xbar / (m.mean_x * m.mean_x)
+    )
+    return (
+        (k1 - 1.0) * m.mean_y
+        + k1 * shape_bias
+        - kappa * k2 * phi1 * m.var_xbar / m.mean_x
+    )
+
+
+def _w_opt(m: CombinedMoments) -> float:
+    """MSE-optimal exponent w = cov_xybar / (R var_xbar); T2's delta is -w.
+
+    Both reach MSE = var_ybar - cov_xybar**2 / var_xbar.  A zero auxiliary
+    variance leaves w unidentified, and 0 (the plain mean) is returned.
+    """
+    if m.var_xbar == 0.0:
+        return 0.0
+    return m.cov_xybar / (m.ratio * m.var_xbar)
+
+
+def _optimizes_shape(spec: EstimatorSpec) -> bool:
+    """True when the spec leaves its shape to the MSE-optimal w or delta."""
+    shape = spec.shape
+    if spec.kind.uses_exponent:
+        return shape is None or shape.w is None
+    return spec.kind is EstimatorKind.T2 and (shape is None or shape.p is None)
 
 
 def resolve_spec(spec: EstimatorSpec, m: CombinedMoments) -> EstimatorSpec:
@@ -310,19 +216,15 @@ def resolve_spec(spec: EstimatorSpec, m: CombinedMoments) -> EstimatorSpec:
     """
     kind = spec.kind
     shape = spec.shape
-    if kind.uses_exponent and (shape is None or shape.w is None):
-        if m.var_xbar == 0.0:
-            shape = ShapeParams(w=0.0)
+    if _optimizes_shape(spec):
+        w = _w_opt(m)
+        if kind.uses_exponent:
+            shape = ShapeParams(w=w)
         else:
-            shape = ShapeParams(w=m.cov_xybar / (m.ratio * m.var_xbar))
+            # 0.0 - w, not -w, so that w = 0 gives delta = +0, not -0
+            shape = ShapeParams(p=1.0, a=0.0, b=0.0 - w)
     elif kind.uses_mixing and (shape is None or shape.p is None):
-        if kind is EstimatorKind.T2:
-            if m.var_xbar == 0.0:
-                shape = _shape_for_param(kind, 0.0)
-            else:
-                shape = _shape_for_param(kind, -m.cov_xybar / (m.ratio * m.var_xbar))
-        else:
-            shape = ShapeParams(p=1.0, a=1.0, b=0.0)
+        shape = ShapeParams(p=1.0, a=1.0, b=0.0)
     k1, k2 = spec.k1, spec.k2
     if kind.is_dual:
         if (k1 is None) != (k2 is None):
@@ -330,36 +232,24 @@ def resolve_spec(spec: EstimatorSpec, m: CombinedMoments) -> EstimatorSpec:
                 f"{kind.value}: give both k1 and k2, or neither for the optimum"
             )
         if k1 is None:
-            k1, k2, _ = optimal_dual(kind, shape, m)  # type: ignore[arg-type]
+            k1, k2 = optimal_dual(kind, shape, m)  # type: ignore[arg-type]
     return EstimatorSpec(kind, shape=shape, k1=k1, k2=k2)
 
 
 def analyze(spec: EstimatorSpec, m: CombinedMoments) -> MseResult:
     """Resolve constants and compute the spec's first-order MSE result."""
-    kind = spec.kind
     resolved = resolve_spec(spec, m)
-    if kind.is_dual:
-        if spec.k1 is None:
-            _, _, result = optimal_dual(kind, resolved.shape, m)  # type: ignore[arg-type]
-            return result
-        return mse_dual(kind, resolved.k1, resolved.k2, resolved.shape, m)  # type: ignore[arg-type]
-    if kind in (EstimatorKind.T1, EstimatorKind.T2):
-        had_shape = spec.shape is not None and (
-            (kind.uses_exponent and spec.shape.w is not None)
-            or (kind.uses_mixing and spec.shape.p is not None)
-        )
-        if not had_shape:
-            _, result = optimal_shape(kind, m)
-            return result
-        phi1, phi2 = transform_coefficients(kind, resolved.shape)
-        return _result(
-            kind,
-            _shape_mse(phi1, m),
-            _shape_bias(phi1, phi2, m),
-            m,
-            shape_constants(resolved.shape, kind),  # type: ignore[arg-type]
-        )
-    return mse_baseline(kind, m)
+    form = quadratic_form(resolved.kind, resolved.shape, m)
+    mse_value = form.value(*_dual_constants(resolved))
+    return MseResult(
+        kind=spec.kind,
+        mse=mse_value,
+        bias=first_order_bias(resolved, m),
+        pre=pre(mse_value, m),
+        constants=resolved.constants(),
+        shape_unidentified=m.var_xbar == 0.0 and _optimizes_shape(spec),
+        singular_system=spec.kind.is_dual and spec.k1 is None and form.singular,
+    )
 
 
 def default_table_specs() -> tuple[EstimatorSpec, ...]:

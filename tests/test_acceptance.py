@@ -35,10 +35,14 @@ def _rel(got: float, want: float) -> float:
     return abs(got - want) / abs(want)
 
 
+def _analyze(kind, m, shape=None):
+    return sm.analyze(sm.EstimatorSpec(kind, shape), m)
+
+
 def test_c01_baseline_reproduction_dataset1(m1):
     v = m1.var_ybar
-    ratio = sm.mse_baseline(K.COMBINED_RATIO, m1).mse
-    product = sm.mse_baseline(K.COMBINED_PRODUCT, m1).mse
+    ratio = _analyze(K.COMBINED_RATIO, m1).mse
+    product = _analyze(K.COMBINED_PRODUCT, m1).mse
     ok = (
         _rel(v, 11.26173) < REL_TOL
         and _rel(ratio, 3.47243) < REL_TOL
@@ -53,7 +57,7 @@ def test_c01_baseline_reproduction_dataset1(m1):
 
 def test_c02_baseline_reproduction_dataset2(m2):
     v = m2.var_ybar
-    ratio = sm.mse_baseline(K.COMBINED_RATIO, m2).mse
+    ratio = _analyze(K.COMBINED_RATIO, m2).mse
     ok = (
         _rel(v, 9844.9203) < REL_TOL
         and _rel(ratio, 857.37974) < REL_TOL
@@ -67,9 +71,9 @@ def test_c02_baseline_reproduction_dataset2(m2):
 
 
 def test_c03_one_parameter_optima(m1, m2):
-    got1 = sm.optimal_shape(K.T1, m1)[1].mse
-    got1b = sm.optimal_shape(K.T2, m1)[1].mse
-    got2 = sm.optimal_shape(K.T1, m2)[1].mse
+    got1 = _analyze(K.T1, m1).mse
+    got1b = _analyze(K.T2, m1).mse
+    got2 = _analyze(K.T1, m2).mse
     closed1 = m1.var_ybar - m1.cov_xybar**2 / m1.var_xbar
     ok = (
         _rel(got1, 2.782946) < REL_TOL
@@ -85,7 +89,7 @@ def test_c03_one_parameter_optima(m1, m2):
 
 
 def test_c04_pre_reproduction(m1):
-    pre_product = sm.mse_baseline(K.COMBINED_PRODUCT, m1).pre
+    pre_product = _analyze(K.COMBINED_PRODUCT, m1).pre
     pre_unbiased = sm.pre(m1.var_ybar, m1)
     ok = _rel(pre_product, 23.93111) < REL_TOL and pre_unbiased == 100.0
     _report(
@@ -111,7 +115,7 @@ def test_c05_dual_constant_dominance(m1, m2):
         k2g = np.linspace(-3.0 * m.ratio, 3.0 * m.ratio, 201)[None, :]
         for kind, shape in shapes.items():
             form = sm.quadratic_form(kind, shape, m)
-            _, _, res = sm.optimal_dual(kind, shape, m)
+            res = _analyze(kind, m, shape)
             at_unit = form.value(1.0, 0.0)
             grid = (
                 form.ybar_sq * (k1g - 1.0) ** 2 + form.a * k1g**2 + form.b * k2g**2

@@ -80,6 +80,38 @@ class TestIngest:
             ingest(str(path), "summary-json")
         assert "line" in str(err.value)
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+    @pytest.mark.parametrize(
+        "field", ["mean_y", "mean_x", "var_y", "var_x", "rho", "known_mean_x"]
+    )
+    def test_summary_json_non_finite_rejected(self, capsys, tmp_path, field, literal):
+        doc = json.loads(json.dumps(SUMMARY_DOC))
+        target = doc if field == "known_mean_x" else doc["strata"][0]
+        target[field] = 1234.5  # placeholder swapped for the raw literal below
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(doc).replace("1234.5", literal))
+        code, out, err = run_cli(capsys, "mse", "--data", str(path), "--estimators", "t1")
+        assert code == 3 and out == ""
+        where = "known_mean_x" if field == "known_mean_x" else "stratum 1"
+        assert err.startswith("error:parse:") and f"{where}: expected a finite number" in err
+
+    @pytest.mark.parametrize("field", ["N", "n"])
+    @pytest.mark.parametrize("value", [12.9, 3.5, True, "4.2"])
+    def test_summary_json_non_integral_count_rejected(self, tmp_path, field, value):
+        doc = json.loads(json.dumps(SUMMARY_DOC))
+        doc["strata"][1][field] = value
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError):
+            ingest(str(path), "summary-json")
+
+    def test_summary_json_integral_float_count_accepted(self, tmp_path):
+        doc = json.loads(json.dumps(SUMMARY_DOC))
+        doc["strata"][1]["N"] = 12.0
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(doc))
+        assert ingest(str(path), "summary-json").strata[1].N == 12
+
     def write_microdata(self, tmp_path, rows, sizes):
         path = tmp_path / "micro.csv"
         buf = io.StringIO()
@@ -113,6 +145,13 @@ class TestIngest:
         with pytest.raises(ParseError) as err:
             ingest(path, "microdata-csv")
         assert "line 3" in str(err.value)
+
+    @pytest.mark.parametrize("size", [1.5, True])
+    def test_microdata_sidecar_non_integral_size(self, tmp_path, size):
+        rows = [(1, 1.0, 2.0), (1, 3.0, 6.0), (1, 2.0, 4.0)]
+        path = self.write_microdata(tmp_path, rows, {"1": size})
+        with pytest.raises(SchemaError):
+            ingest(path, "microdata-csv")
 
     def test_microdata_missing_sidecar(self, tmp_path):
         path = tmp_path / "micro.csv"
@@ -262,6 +301,16 @@ class TestExitCodes:
     def test_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "moments")  # missing --data
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flag", [("--reps", "0"), ("--reps", "-5"), ("--workers", "0"), ("--workers", "-3")]
+    )
+    def test_simulate_counts_below_one_are_usage_errors(self, capsys, flag):
+        code, out, err = run_cli(
+            capsys, "simulate", "--data", "paper-1", "--reps", "10", *flag
+        )
+        assert code == 2 and out == ""
+        assert f"argument {flag[0]}: must be at least 1" in err
 
     def test_unknown_estimator(self, capsys):
         code, _, err = run_cli(

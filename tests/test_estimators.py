@@ -14,95 +14,93 @@ def stats(ybar=100.0, xbar=300.0):
     return sm.SampleStats(ybar, xbar)
 
 
+def estimate(kind, s, shape=None, k1=None, k2=None):
+    return sm.estimate(sm.EstimatorSpec(kind, shape, k1=k1, k2=k2), s, MEAN_X)
+
+
 class TestBaselines:
     def test_no_deviation_returns_ybar(self):
         s = stats(xbar=MEAN_X)
         for kind in (K.UNBIASED, K.COMBINED_RATIO, K.COMBINED_PRODUCT):
-            assert sm.estimate_baseline(kind, s, MEAN_X) == 100.0
+            assert estimate(kind, s) == 100.0
 
     def test_ratio_hand_value(self):
         # 100 * 326 / 300
-        got = sm.estimate_baseline(K.COMBINED_RATIO, stats(), MEAN_X)
+        got = estimate(K.COMBINED_RATIO, stats())
         assert got == pytest.approx(108.66666666666667, rel=1e-14)
 
     def test_product_hand_value(self):
         # 100 * 300 / 326
-        got = sm.estimate_baseline(K.COMBINED_PRODUCT, stats(), MEAN_X)
+        got = estimate(K.COMBINED_PRODUCT, stats())
         assert got == pytest.approx(92.02453987730061, rel=1e-14)
 
     def test_ratio_zero_denominator(self):
         with pytest.raises(ZeroDenominator):
-            sm.estimate_baseline(K.COMBINED_RATIO, stats(xbar=0.0), MEAN_X)
+            estimate(K.COMBINED_RATIO, stats(xbar=0.0))
 
 
 class TestShapeFamilies:
     def test_degenerate_parameters_return_ybar(self):
         s = stats(xbar=330.0)
-        assert sm.estimate_shape(K.T1, s, MEAN_X, sm.ShapeParams(w=0.0)) == 100.0
-        assert sm.estimate_shape(K.T2, s, MEAN_X, sm.ShapeParams(p=0.0, a=1.0, b=0.0)) == 100.0
+        assert estimate(K.T1, s, sm.ShapeParams(w=0.0)) == 100.0
+        assert estimate(K.T2, s, sm.ShapeParams(p=0.0, a=1.0, b=0.0)) == 100.0
         balanced = stats(xbar=MEAN_X)
-        assert sm.estimate_shape(K.T1, balanced, MEAN_X, sm.ShapeParams(w=2.5)) == 100.0
+        assert estimate(K.T1, balanced, sm.ShapeParams(w=2.5)) == 100.0
 
     def test_t1_hand_value(self):
         # 100 * (2 - 330/326)
-        got = sm.estimate_shape(K.T1, stats(xbar=330.0), MEAN_X, sm.ShapeParams(w=1.0))
+        got = estimate(K.T1, stats(xbar=330.0), sm.ShapeParams(w=1.0))
         assert got == pytest.approx(98.77300613496932, rel=1e-13)
 
     def test_t2_reduces_to_ratio_and_product(self):
         s = stats()
-        ratio = sm.estimate_baseline(K.COMBINED_RATIO, s, MEAN_X)
-        product = sm.estimate_baseline(K.COMBINED_PRODUCT, s, MEAN_X)
-        t2_ratio = sm.estimate_shape(K.T2, s, MEAN_X, sm.ShapeParams(p=1.0, a=1.0, b=0.0))
-        t2_product = sm.estimate_shape(K.T2, s, MEAN_X, sm.ShapeParams(p=1.0, a=0.0, b=1.0))
+        ratio = estimate(K.COMBINED_RATIO, s)
+        product = estimate(K.COMBINED_PRODUCT, s)
+        t2_ratio = estimate(K.T2, s, sm.ShapeParams(p=1.0, a=1.0, b=0.0))
+        t2_product = estimate(K.T2, s, sm.ShapeParams(p=1.0, a=0.0, b=1.0))
         assert t2_ratio == pytest.approx(ratio, rel=1e-13)
         assert t2_product == pytest.approx(product, rel=1e-13)
 
     def test_t1_non_positive_base(self):
         with pytest.raises(NonPositiveBase):
-            sm.estimate_shape(K.T1, stats(xbar=-10.0), MEAN_X, sm.ShapeParams(w=0.5))
+            estimate(K.T1, stats(xbar=-10.0), sm.ShapeParams(w=0.5))
 
     def test_t2_zero_denominator(self):
         # denominator xbar + b (mean_x - xbar) = 0 at b = xbar / (xbar - mean_x)
         xbar = 300.0
         b = xbar / (xbar - MEAN_X)
         with pytest.raises(ZeroDenominator):
-            sm.estimate_shape(
-                K.T2, stats(xbar=xbar), MEAN_X, sm.ShapeParams(p=1.0, a=0.0, b=b)
-            )
+            estimate(K.T2, stats(xbar=xbar), sm.ShapeParams(p=1.0, a=0.0, b=b))
 
     def test_t2_non_positive_base(self):
         # numerator 300 - 20 * 26 < 0, denominator 300 > 0, fractional p
         with pytest.raises(NonPositiveBase):
-            sm.estimate_shape(
-                K.T2, stats(xbar=300.0), MEAN_X, sm.ShapeParams(p=0.5, a=-20.0, b=0.0)
-            )
+            estimate(K.T2, stats(xbar=300.0), sm.ShapeParams(p=0.5, a=-20.0, b=0.0))
 
 
 class TestDualEstimators:
     def test_t5_hand_value(self):
         # 0.9 * 98.7730... + 0.5 * (326 - 330)
-        got = sm.estimate_dual(
-            K.T5, stats(xbar=330.0), MEAN_X, sm.ShapeParams(w=1.0), k1=0.9, k2=0.5
-        )
+        got = estimate(K.T5, stats(xbar=330.0), sm.ShapeParams(w=1.0), k1=0.9, k2=0.5)
         assert got == pytest.approx(86.8957055214724, rel=1e-13)
 
     def test_unit_constants_reduce_to_shape(self):
         s = stats(ybar=97.0, xbar=311.0)
         shape_w = sm.ShapeParams(w=1.7)
         shape_pab = sm.ShapeParams(p=2.0, a=0.3, b=1.1)
-        t1 = sm.estimate_shape(K.T1, s, MEAN_X, shape_w)
-        t2 = sm.estimate_shape(K.T2, s, MEAN_X, shape_pab)
-        assert sm.estimate_dual(K.T3, s, MEAN_X, shape_w, 1.0, 0.0) == t1
-        assert sm.estimate_dual(K.T5, s, MEAN_X, shape_w, 1.0, 0.0) == t1
-        assert sm.estimate_dual(K.T4, s, MEAN_X, shape_pab, 1.0, 0.0) == t2
-        assert sm.estimate_dual(K.T6, s, MEAN_X, shape_pab, 1.0, 0.0) == t2
+        t1 = estimate(K.T1, s, shape_w)
+        t2 = estimate(K.T2, s, shape_pab)
+        assert estimate(K.T3, s, shape_w, 1.0, 0.0) == t1
+        assert estimate(K.T5, s, shape_w, 1.0, 0.0) == t1
+        assert estimate(K.T4, s, shape_pab, 1.0, 0.0) == t2
+        assert estimate(K.T6, s, shape_pab, 1.0, 0.0) == t2
 
     def test_balance_point_returns_scaled_ybar(self):
         s = stats(xbar=MEAN_X)
         shape_w = sm.ShapeParams(w=3.2)
         shape_pab = sm.ShapeParams(p=1.5, a=0.2, b=0.9)
         for kind, shape in ((K.T3, shape_w), (K.T5, shape_w), (K.T4, shape_pab), (K.T6, shape_pab)):
-            got = sm.estimate_dual(kind, s, MEAN_X, shape, k1=0.87, k2=41.0)
+            got = estimate(kind, s, shape, k1=0.87, k2=41.0)
             assert got == 0.87 * 100.0
 
 
@@ -154,8 +152,8 @@ def test_first_order_consistency():
     for eps in (1e-4, 1e-6):
         e0, e1 = 0.8 * eps, -eps
         s = sm.SampleStats(mean_y * (1 + e0), mean_x * (1 + e1))
-        t1 = sm.estimate_shape(K.T1, s, mean_x, sm.ShapeParams(w=w))
-        t2 = sm.estimate_shape(K.T2, s, mean_x, sm.ShapeParams(p=p, a=a, b=b))
+        t1 = sm.estimate(sm.EstimatorSpec(K.T1, sm.ShapeParams(w=w)), s, mean_x)
+        t2 = sm.estimate(sm.EstimatorSpec(K.T2, sm.ShapeParams(p=p, a=a, b=b)), s, mean_x)
         lin1 = mean_y * (1 + e0 - w * e1)
         lin2 = mean_y * (1 + e0 + delta * e1)
         bound = 50.0 * mean_y * eps * eps  # generous second-order envelope
@@ -184,14 +182,15 @@ def test_estimate_many_counts_errors():
 
 
 def test_integer_exponent_allows_negative_base():
-    got = sm.estimate_shape(K.T1, stats(xbar=-326.0), MEAN_X, sm.ShapeParams(w=3.0))
+    got = estimate(K.T1, stats(xbar=-326.0), sm.ShapeParams(w=3.0))
     assert got == 100.0 * (2.0 - (-1.0) ** 3)
 
 
 def test_shape_params_derived():
     shape = sm.ShapeParams(p=2.0, a=0.5, b=1.5)
     assert shape.delta == 2.0
-    assert shape.delta == shape.slope_num - shape.slope_den
+    # numerator slope p (1 - a) less denominator slope p (1 - b)
+    assert shape.delta == 2.0 * (1.0 - 0.5) - 2.0 * (1.0 - 1.5)
     same = sm.ShapeParams(p=2.0, a=0.7, b=0.7)
     assert same.delta == 0.0
     # curvature at (1, 1, 0) is 1: the transform is the ratio correction
@@ -211,7 +210,7 @@ def test_missing_constants_raise():
     with pytest.raises(ValueError):
         sm.estimate(sm.EstimatorSpec(K.T3, sm.ShapeParams(w=1.0)), stats(), MEAN_X)
     with pytest.raises(ValueError):
-        sm.estimate_shape(K.T1, stats(), MEAN_X, sm.ShapeParams())
+        estimate(K.T1, stats(), sm.ShapeParams())
 
 
 def test_from_stratum_means(ds1):
@@ -220,4 +219,4 @@ def test_from_stratum_means(ds1):
     xbars = [s.mean_x for s in ds1.strata]
     s = sm.SampleStats.from_stratum_means(weights, ybars, xbars)
     assert s.ybar_st == pytest.approx(102.5996, rel=1e-12)
-    assert s.stratum_ybars == tuple(ybars)
+    assert s.xbar_st == pytest.approx(sum(w * v for w, v in zip(weights, xbars)), rel=1e-15)

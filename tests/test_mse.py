@@ -18,70 +18,85 @@ DS2_MSE_RATIO = 858.2853038894718
 DS2_SHAPE_MIN = 702.1373972823694
 
 
+def analyze(kind, m, shape=None, k1=None, k2=None):
+    return sm.analyze(sm.EstimatorSpec(kind, shape, k1=k1, k2=k2), m)
+
+
+def t1(w):
+    return sm.ShapeParams(w=w)
+
+
+def t2(delta):
+    """The T2 shape whose first-order coefficient is ``delta``."""
+    return sm.ShapeParams(p=1.0, a=0.0, b=delta)
+
+
 class TestBaselineMse:
     def test_ds1_values(self, m1):
-        assert sm.mse_baseline(K.UNBIASED, m1).mse == m1.var_ybar
-        assert sm.mse_baseline(K.COMBINED_RATIO, m1).mse == pytest.approx(DS1_MSE_RATIO, rel=1e-14)
-        assert sm.mse_baseline(K.COMBINED_PRODUCT, m1).mse == pytest.approx(DS1_MSE_PRODUCT, rel=1e-14)
+        assert analyze(K.UNBIASED, m1).mse == m1.var_ybar
+        assert analyze(K.COMBINED_RATIO, m1).mse == pytest.approx(DS1_MSE_RATIO, rel=1e-14)
+        assert analyze(K.COMBINED_PRODUCT, m1).mse == pytest.approx(DS1_MSE_PRODUCT, rel=1e-14)
 
     def test_ds1_published(self, m1):
-        assert sm.mse_baseline(K.COMBINED_RATIO, m1).mse == pytest.approx(3.47243, rel=5e-3)
-        assert sm.mse_baseline(K.COMBINED_PRODUCT, m1).mse == pytest.approx(47.0589, rel=5e-3)
+        assert analyze(K.COMBINED_RATIO, m1).mse == pytest.approx(3.47243, rel=5e-3)
+        assert analyze(K.COMBINED_PRODUCT, m1).mse == pytest.approx(47.0589, rel=5e-3)
 
     def test_ds2_published(self, m2):
-        assert sm.mse_baseline(K.UNBIASED, m2).mse == pytest.approx(9844.9203, rel=5e-3)
-        assert sm.mse_baseline(K.COMBINED_RATIO, m2).mse == pytest.approx(857.37974, rel=5e-3)
-        assert sm.mse_baseline(K.COMBINED_RATIO, m2).mse == pytest.approx(DS2_MSE_RATIO, rel=1e-14)
+        assert analyze(K.UNBIASED, m2).mse == pytest.approx(9844.9203, rel=5e-3)
+        assert analyze(K.COMBINED_RATIO, m2).mse == pytest.approx(857.37974, rel=5e-3)
+        assert analyze(K.COMBINED_RATIO, m2).mse == pytest.approx(DS2_MSE_RATIO, rel=1e-14)
 
     def test_zero_cov_makes_ratio_product_equal(self, m1):
         m = dataclasses.replace(m1, cov_xybar=0.0)
-        r = sm.mse_baseline(K.COMBINED_RATIO, m).mse
-        p = sm.mse_baseline(K.COMBINED_PRODUCT, m).mse
+        r = analyze(K.COMBINED_RATIO, m).mse
+        p = analyze(K.COMBINED_PRODUCT, m).mse
         assert r == p == m.var_ybar + m.ratio**2 * m.var_xbar
 
 
 class TestShapeMse:
     def test_zero_parameter_is_unbiased(self, m1):
-        assert sm.mse_shape(K.T1, 0.0, m1).mse == m1.var_ybar
-        assert sm.mse_shape(K.T2, 0.0, m1).mse == m1.var_ybar
+        assert analyze(K.T1, m1, t1(0.0)).mse == m1.var_ybar
+        assert analyze(K.T2, m1, t2(0.0)).mse == m1.var_ybar
 
     def test_reductions_to_baselines(self, m1):
-        assert sm.mse_shape(K.T1, 1.0, m1).mse == pytest.approx(DS1_MSE_RATIO, rel=1e-14)
-        assert sm.mse_shape(K.T2, 1.0, m1).mse == pytest.approx(DS1_MSE_PRODUCT, rel=1e-14)
-        assert sm.mse_shape(K.T2, -1.0, m1).mse == pytest.approx(DS1_MSE_RATIO, rel=1e-14)
+        assert analyze(K.T1, m1, t1(1.0)).mse == pytest.approx(DS1_MSE_RATIO, rel=1e-14)
+        assert analyze(K.T2, m1, t2(1.0)).mse == pytest.approx(DS1_MSE_PRODUCT, rel=1e-14)
+        assert analyze(K.T2, m1, t2(-1.0)).mse == pytest.approx(DS1_MSE_RATIO, rel=1e-14)
 
     def test_optimal_shape_ds1(self, m1):
-        w, res = sm.optimal_shape(K.T1, m1)
+        res = analyze(K.T1, m1)
+        w = res.constants["w"]
         assert w == pytest.approx(DS1_W_OPT, rel=1e-14)
         assert res.mse == pytest.approx(DS1_SHAPE_MIN, rel=1e-14)
         assert res.mse == pytest.approx(2.782946, rel=5e-3)  # published
-        delta, res2 = sm.optimal_shape(K.T2, m1)
+        res2 = analyze(K.T2, m1)
+        delta = res2.constants["b"]
         assert delta == -w
         assert res2.mse == res.mse
         assert res2.constants == {"p": 1.0, "a": 0.0, "b": delta}
 
     def test_optimal_shape_ds2(self, m2):
-        _, res = sm.optimal_shape(K.T1, m2)
+        res = analyze(K.T1, m2)
         assert res.mse == pytest.approx(DS2_SHAPE_MIN, rel=1e-14)
         assert res.mse == pytest.approx(701.546, rel=5e-3)  # published
 
     def test_optimal_shape_zero_cov(self, m1):
         m = dataclasses.replace(m1, cov_xybar=0.0)
-        w, res = sm.optimal_shape(K.T1, m)
-        assert w == 0.0
+        res = analyze(K.T1, m)
+        assert res.constants["w"] == 0.0
         assert res.mse == m.var_ybar
 
     def test_optimal_shape_zero_aux_variance(self, m1):
         m = dataclasses.replace(m1, var_xbar=0.0, cov_xybar=0.0)
-        w, res = sm.optimal_shape(K.T1, m)
-        assert w == 0.0
+        res = analyze(K.T1, m)
+        assert res.constants["w"] == 0.0
         assert res.mse == m.var_ybar
         assert res.shape_unidentified
 
     def test_optimum_dominates_scan(self, m1):
         w_grid = np.linspace(-3.0, 3.0, 2001)
-        values = [sm.mse_shape(K.T1, w, m1).mse for w in w_grid]
-        _, res = sm.optimal_shape(K.T1, m1)
+        values = [analyze(K.T1, m1, t1(w)).mse for w in w_grid]
+        res = analyze(K.T1, m1)
         assert res.mse <= min(values) + 1e-12
 
 
@@ -91,28 +106,30 @@ class TestDualMse:
             for w in (0.3, 1.0, DS1_W_OPT):
                 shape = sm.ShapeParams(w=w)
                 for kind in (K.T3, K.T5):
-                    dual = sm.mse_dual(kind, 1.0, 0.0, shape, m).mse
-                    assert dual == pytest.approx(sm.mse_shape(K.T1, w, m).mse, rel=1e-12)
+                    dual = analyze(kind, m, shape, 1.0, 0.0).mse
+                    assert dual == pytest.approx(analyze(K.T1, m, shape).mse, rel=1e-12)
             shape = sm.ShapeParams(p=1.0, a=1.0, b=0.0)
             for kind in (K.T4, K.T6):
-                dual = sm.mse_dual(kind, 1.0, 0.0, shape, m).mse
-                assert dual == pytest.approx(sm.mse_baseline(K.COMBINED_RATIO, m).mse, rel=1e-12)
+                dual = analyze(kind, m, shape, 1.0, 0.0).mse
+                assert dual == pytest.approx(analyze(K.COMBINED_RATIO, m).mse, rel=1e-12)
 
     def test_t6_ratio_shape_ds1(self, m1):
-        got = sm.mse_dual(K.T6, 1.0, 0.0, sm.ShapeParams(p=1.0, a=1.0, b=0.0), m1).mse
+        got = analyze(K.T6, m1, sm.ShapeParams(p=1.0, a=1.0, b=0.0), 1.0, 0.0).mse
         assert got == pytest.approx(3.4724, rel=5e-3)
 
     def test_optimal_dual_frozen_ds1(self, m1):
         # frozen from the normal-equation oracle on the published inputs
-        k1, k2, res = sm.optimal_dual(K.T3, sm.ShapeParams(w=DS1_W_OPT), m1)
+        k1, k2 = sm.optimal_dual(K.T3, sm.ShapeParams(w=DS1_W_OPT), m1)
         assert k1 == pytest.approx(1.000426221386015, rel=1e-12)
         assert k2 == pytest.approx(-0.00010435232801519796, rel=1e-9)
+        res = analyze(K.T3, m1, sm.ShapeParams(w=DS1_W_OPT))
+        assert (res.constants["k1"], res.constants["k2"]) == (k1, k2)
         assert res.mse == pytest.approx(2.7851028668317954, rel=1e-12)
-        _, _, res5 = sm.optimal_dual(K.T5, sm.ShapeParams(w=DS1_W_OPT), m1)
+        res5 = analyze(K.T5, m1, sm.ShapeParams(w=DS1_W_OPT))
         assert res5.mse == pytest.approx(2.7851044051479192, rel=1e-12)
-        _, _, res4 = sm.optimal_dual(K.T4, sm.ShapeParams(p=1.0, a=1.0, b=0.0), m1)
+        res4 = analyze(K.T4, m1, sm.ShapeParams(p=1.0, a=1.0, b=0.0))
         assert res4.mse == pytest.approx(2.786272851558148, rel=1e-12)
-        _, _, res6 = sm.optimal_dual(K.T6, sm.ShapeParams(p=1.0, a=1.0, b=0.0), m1)
+        res6 = analyze(K.T6, m1, sm.ShapeParams(p=1.0, a=1.0, b=0.0))
         assert res6.mse == pytest.approx(2.7837109926117662, rel=1e-12)
 
     def test_optimum_beats_unit_constants(self, m1, m2):
@@ -124,8 +141,8 @@ class TestDualMse:
         }
         for m in (m1, m2):
             for kind, shape in shapes.items():
-                _, _, res = sm.optimal_dual(kind, shape, m)
-                at_unit = sm.mse_dual(kind, 1.0, 0.0, shape, m).mse
+                res = analyze(kind, m, shape)
+                at_unit = analyze(kind, m, shape, 1.0, 0.0).mse
                 assert res.mse <= at_unit * (1.0 + 1e-12)
 
     def test_optimum_dominates_grid(self, m1):
@@ -142,17 +159,18 @@ class TestDualMse:
             + 2 * form.d * k2g
             - 2 * form.e * k1g * k2g
         )
-        k1, k2, res = sm.optimal_dual(K.T5, shape, m1)
+        res = analyze(K.T5, m1, shape)
         assert res.mse <= grid.min() + 1e-9 * abs(grid.min())
 
     def test_t5_optimal_k2_vanishes_at_w_opt(self, m1):
         # at w = w_opt the difference direction carries no extra information
-        _, k2, _ = sm.optimal_dual(K.T5, sm.ShapeParams(w=DS1_W_OPT), m1)
+        _, k2 = sm.optimal_dual(K.T5, sm.ShapeParams(w=DS1_W_OPT), m1)
         assert k2 == 0.0
 
     def test_zero_aux_variance_limit(self, m1):
         m = dataclasses.replace(m1, var_xbar=0.0, cov_xybar=0.0)
-        k1, k2, res = sm.optimal_dual(K.T5, sm.ShapeParams(w=1.0), m)
+        res = analyze(K.T5, m, sm.ShapeParams(w=1.0))
+        k1, k2 = res.constants["k1"], res.constants["k2"]
         y2 = m.mean_y**2
         assert res.singular_system
         assert k2 == 0.0
@@ -161,8 +179,14 @@ class TestDualMse:
 
     def test_quadratic_value_is_consistent(self, m1):
         form = sm.quadratic_form(K.T4, sm.ShapeParams(p=1.0, a=1.0, b=0.0), m1)
-        direct = sm.mse_dual(K.T4, 0.9, 0.1, sm.ShapeParams(p=1.0, a=1.0, b=0.0), m1).mse
+        direct = analyze(K.T4, m1, sm.ShapeParams(p=1.0, a=1.0, b=0.0), 0.9, 0.1).mse
         assert form.value(0.9, 0.1) == direct
+        # the docstring's a k1**2 - 2 c k1 spelling of the same surface
+        spelled = (
+            form.ybar_sq * (0.9 - 1.0) ** 2 + form.a * 0.81 + form.b * 0.01
+            - 2 * form.c * 0.9 + 2 * form.d * 0.1 - 2 * form.e * 0.09
+        )
+        assert direct == pytest.approx(spelled, rel=1e-12)
 
 
 class TestBias:
@@ -198,11 +222,11 @@ class TestPre:
         assert sm.pre(m1.var_ybar / 2.0, m1) == 200.0
 
     def test_ds1_product_published(self, m1):
-        got = sm.pre(sm.mse_baseline(K.COMBINED_PRODUCT, m1).mse, m1)
+        got = sm.pre(analyze(K.COMBINED_PRODUCT, m1).mse, m1)
         assert got == pytest.approx(23.93111, rel=5e-3)
 
     def test_ds2_ratio_published(self, m2):
-        got = sm.pre(sm.mse_baseline(K.COMBINED_RATIO, m2).mse, m2)
+        got = sm.pre(analyze(K.COMBINED_RATIO, m2).mse, m2)
         assert got == pytest.approx(1148.2567, rel=5e-3)
 
     def test_zero_mse_rejected(self, m1):
@@ -240,8 +264,11 @@ class TestEfficiencyTable:
 def test_analyze_explicit_dual_constants(m1):
     spec = sm.EstimatorSpec(K.T5, sm.ShapeParams(w=1.0), k1=0.9, k2=0.5)
     res = sm.analyze(spec, m1)
-    direct = sm.mse_dual(K.T5, 0.9, 0.5, sm.ShapeParams(w=1.0), m1)
-    assert res.mse == direct.mse and res.bias == direct.bias
+    form = sm.quadratic_form(K.T5, sm.ShapeParams(w=1.0), m1)
+    assert res.mse == form.value(0.9, 0.5)
+    assert res.bias == sm.first_order_bias(spec, m1)
+    assert res.constants == {"w": 1.0, "k1": 0.9, "k2": 0.5}
+    assert not res.singular_system
 
 
 def test_resolve_spec_defaults(m1):
@@ -255,3 +282,21 @@ def test_resolve_spec_defaults(m1):
 def test_resolve_spec_rejects_partial_duals(m1):
     with pytest.raises(ValueError):
         sm.resolve_spec(sm.EstimatorSpec(K.T5, sm.ShapeParams(w=1.0), k1=0.9), m1)
+
+
+def test_optimal_dual_solved_once_per_unresolved_spec(ds1, m1, monkeypatch):
+    calls = []
+    solve = sm.mse.optimal_dual
+
+    def counting(*args):
+        calls.append(args[0])
+        return solve(*args)
+
+    monkeypatch.setattr(sm.mse, "optimal_dual", counting)
+    sm.efficiency_table(ds1)
+    assert calls == [K.T3, K.T4, K.T5, K.T6]
+    calls.clear()
+    resolved = sm.resolve_spec(sm.EstimatorSpec(K.T6), m1)
+    assert len(calls) == 1
+    sm.analyze(resolved, m1)
+    assert len(calls) == 1
