@@ -16,7 +16,8 @@ per-stratum ``{N, n, mean_y, mean_x, var_y, var_x, cov_xy | rho}``) or
 ``<file>.n.json`` sidecar mapping stratum label to n).
 
 Every failure prints one ``error:<code>: message`` line on stderr.  Exit
-codes: 0 ok, 2 usage, 3 data, 4 computation, 5 failed strict verdict.
+codes: 0 ok, 2 usage (including a partial set of constants such as ``--p``
+without ``--a``/``--b``), 3 data, 4 computation, 5 failed strict verdict.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .design import (
     validate_design,
     StratumSummary,
 )
-from .errors import ParseError, SchemaError, StratmeanError
+from .errors import ParseError, SchemaError, StratmeanError, UsageError
 from .estimators import (
     KIND_BY_NAME,
     EstimatorKind,
@@ -307,7 +308,24 @@ def _specs_from_config(config: RunConfig) -> list[EstimatorSpec]:
         specs.append(EstimatorSpec(kind, shape=shape, k1=k1, k2=k2))
     if not specs:
         raise SchemaError("no estimators selected")
+    if not config.optimal:
+        _require_whole_set(
+            [spec.label for spec in specs if spec.kind.uses_mixing],
+            {"p": config.p, "a": config.a, "b": config.b},
+        )
+        _require_whole_set(
+            [spec.label for spec in specs if spec.kind.is_dual],
+            {"k1": config.k1, "k2": config.k2},
+        )
     return specs
+
+
+def _require_whole_set(users: list[str], flags: dict[str, float | None]) -> None:
+    """Constants that the ``users`` kinds need come all together or not at all."""
+    given = [v is not None for v in flags.values()]
+    if users and any(given) and not all(given):
+        names = ", ".join(f"--{name}" for name in flags)
+        raise UsageError(f"{', '.join(users)}: give all of {names}, or none for the default")
 
 
 def _constant_columns(constants: dict[str, float]) -> dict:
@@ -587,7 +605,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 def run(config: RunConfig) -> int:
     """Dispatch a command; raises package errors for main() to report."""
     if config.command == "table" and not config.paper_layout and not config.data:
-        raise SchemaError("table requires --data unless --paper-layout is given")
+        raise UsageError("table requires --data unless --paper-layout is given")
     try:
         handler = _COMMANDS[config.command]
     except KeyError:
@@ -609,6 +627,10 @@ def main(argv: list[str] | None = None) -> int:
         return exc.exit_code
     except ValueError as exc:
         print(f"error:computation: {exc}", file=sys.stderr)
+        return 4
+    except ArithmeticError as exc:
+        # overflow or a vanishing divisor, e.g. an optimal w beyond ~1e154
+        print(f"error:computation: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
 
 

@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
 Every error carries a short machine-readable ``code`` (the CLI prints a
-single ``error:<code>: message`` line) and an ``exit_code``: 3 for data or
-validation problems, 4 for computation problems.
+single ``error:<code>: message`` line) and an ``exit_code``: 2 for usage
+mistakes, 3 for data or validation problems, 4 for computation problems.
 """
 
 
@@ -11,6 +11,13 @@ class StratmeanError(Exception):
 
     code = "error"
     exit_code = 4
+
+
+class UsageError(StratmeanError):
+    """The command-line flags contradict each other or are incomplete."""
+
+    code = "usage"
+    exit_code = 2
 
 
 class ValidationError(StratmeanError):

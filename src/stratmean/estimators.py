@@ -165,6 +165,14 @@ class EstimatorSpec:
                 out["k2"] = self.k2
         return out
 
+    def dual_constants(self) -> tuple[float, float]:
+        """(k1, k2) of a resolved spec; (1, 0) for the kinds without them."""
+        if not self.kind.is_dual:
+            return 1.0, 0.0
+        if self.k1 is None or self.k2 is None:
+            raise ValueError(f"{self.kind.value} requires explicit (k1, k2)")
+        return float(self.k1), float(self.k2)
+
 
 def transform_coefficients(
     kind: EstimatorKind, shape: ShapeParams | None = None
@@ -266,10 +274,7 @@ def estimate_many(
     xbar = np.asarray(xbar_st, dtype=float)
     if mean_x <= 0.0:
         raise ZeroDenominator("auxiliary population mean must be positive")
-    k1 = 1.0 if spec.k1 is None else float(spec.k1)
-    k2 = 0.0 if spec.k2 is None else float(spec.k2)
-    if kind.is_dual and (spec.k1 is None or spec.k2 is None):
-        raise ValueError(f"{kind.value} requires explicit (k1, k2)")
+    k1, k2 = spec.dual_constants()
 
     zero_den = np.zeros(ybar.shape, dtype=bool)
     bad_base = np.zeros(ybar.shape, dtype=bool)

@@ -214,13 +214,23 @@ def draw_stratified_srswor(
     """One stratified SRSWOR draw; returns its combined sample means."""
     n = _check_sample_sizes(pop, sample_sizes)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    ybars = []
-    xbars = []
-    for s, nh in zip(pop.strata, n):
-        idx = rng.choice(s.N, size=nh, replace=False)
-        ybars.append(float(s.y[idx].mean()))
-        xbars.append(float(s.x[idx].mean()))
-    return SampleStats.from_stratum_means(pop.weights, ybars, xbars)
+    yb, xb = _draw_block(rng, pop, n, pop.weights, 1)
+    return SampleStats(float(yb[0]), float(xb[0]))
+
+
+def _floyd_picks(rng: np.random.Generator, N: int, m: int, count: int) -> np.ndarray:
+    """``count`` independent m-subsets of range(N), one per row (Floyd, 1987).
+
+    Step j (N-m <= j < N) draws t uniform on 0..j and keeps t, or j where
+    the row already holds t; every m-subset comes out equally likely.  The
+    membership check costs O(count * m**2) comparisons.
+    """
+    picks = np.empty((count, m), dtype=np.intp)
+    for i, j in enumerate(range(N - m, N)):
+        t = rng.integers(0, j + 1, size=count)
+        held = (picks[:, :i] == t[:, None]).any(axis=1)
+        picks[:, i] = np.where(held, j, t)
+    return picks
 
 
 def _draw_block(
@@ -230,7 +240,12 @@ def _draw_block(
     weights: tuple[float, ...],
     count: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized SRSWOR block: random sort keys, take the n_h smallest."""
+    """Vectorized SRSWOR block: ``count`` rows of combined sample means.
+
+    Each stratum draws m = min(n_h, N_h - n_h) units per row with Floyd's
+    algorithm.  When m < n_h the drawn units are the ones left out, and the
+    sample sum is the stratum total minus theirs.
+    """
     yb = np.zeros(count)
     xb = np.zeros(count)
     for s, nh, w in zip(pop.strata, n, weights):
@@ -238,11 +253,41 @@ def _draw_block(
             yb += w * float(s.y.mean())
             xb += w * float(s.x.mean())
             continue
-        keys = rng.random((count, s.N))
-        idx = np.argpartition(keys, nh - 1, axis=1)[:, :nh]
-        yb += w * s.y[idx].mean(axis=1)
-        xb += w * s.x[idx].mean(axis=1)
+        m = min(nh, s.N - nh)
+        left_out = m < nh  # the drawn units are the complement of the sample
+        sign = -1.0 if left_out else 1.0
+        picks = _floyd_picks(rng, s.N, m, count)
+        yb += w * (left_out * float(s.y.sum()) + sign * s.y[picks].sum(axis=1)) / nh
+        xb += w * (left_out * float(s.x.sum()) + sign * s.x[picks].sum(axis=1)) / nh
     return yb, xb
+
+
+def _moments(values: np.ndarray) -> tuple[int, float, float]:
+    """(count, mean, centred sum of squares) of one block's values."""
+    if values.size == 0:
+        return 0, 0.0, 0.0
+    mean = float(values.mean())
+    dev = values - mean
+    return values.size, mean, float((dev * dev).sum())
+
+
+def _merge_moments(
+    a: tuple[int, float, float], b: tuple[int, float, float]
+) -> tuple[int, float, float]:
+    """Pool two (count, mean, centred sum of squares) triples.
+
+    The pairwise update of Chan, Golub & LeVeque (1983): no sum of raw
+    squares is formed, so a large mean does not swamp the spread.
+    """
+    na, mean_a, ss_a = a
+    nb, mean_b, ss_b = b
+    if nb == 0:
+        return a
+    if na == 0:
+        return b
+    n = na + nb
+    delta = mean_b - mean_a
+    return n, mean_a + delta * nb / n, ss_a + ss_b + delta * delta * na * nb / n
 
 
 def replicate(
@@ -288,16 +333,7 @@ def replicate(
             batch = estimate_many(spec, yb, xb, m.mean_x)
             v = batch.values[batch.valid]
             q = (v - m.mean_y) ** 2
-            partials.append(
-                (
-                    int(batch.valid.sum()),
-                    dict(batch.error_counts),
-                    float(v.sum()),
-                    float((v * v).sum()),
-                    float(q.sum()),
-                    float((q * q).sum()),
-                )
-            )
+            partials.append((dict(batch.error_counts), _moments(v), _moments(q)))
         return partials
 
     jobs = list(zip(children, blocks))
@@ -309,29 +345,23 @@ def replicate(
 
     rows = []
     for i, (spec, theo) in enumerate(zip(resolved, theory)):
-        valid = 0
         errors: dict[str, int] = {}
-        sum_v = sum_v2 = sum_q = sum_q2 = 0.0
+        pooled_v = pooled_q = (0, 0.0, 0.0)
         for partials in block_results:  # fixed block order: deterministic sums
-            nv, errs, sv, sv2, sq, sq2 = partials[i]
-            valid += nv
+            errs, block_v, block_q = partials[i]
             for code, cnt in errs.items():
                 errors[code] = errors.get(code, 0) + cnt
-            sum_v += sv
-            sum_v2 += sv2
-            sum_q += sq
-            sum_q2 += sq2
+            pooled_v = _merge_moments(pooled_v, block_v)
+            pooled_q = _merge_moments(pooled_q, block_q)
+        valid, mean_v, ss_v = pooled_v
+        _, emp_mse, ss_q = pooled_q
         if valid < 2:
             raise ValueError(
                 f"{spec.label}: only {valid} valid replications; cannot summarize"
             )
-        mean_v = sum_v / valid
-        var_v = max(sum_v2 / valid - mean_v * mean_v, 0.0) * valid / (valid - 1)
         emp_bias = mean_v - m.mean_y
-        emp_mse = sum_q / valid
-        var_q = max(sum_q2 / valid - emp_mse * emp_mse, 0.0) * valid / (valid - 1)
-        se_bias = math.sqrt(var_v / valid)
-        se_mse = math.sqrt(var_q / valid)
+        se_bias = math.sqrt(ss_v / (valid - 1) / valid)
+        se_mse = math.sqrt(ss_q / (valid - 1) / valid)
         if reps < MIN_REPS_FOR_VERDICT:
             verdict = "insufficient-replications"
         else:

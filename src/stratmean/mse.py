@@ -162,19 +162,10 @@ def optimal_dual(
     return quadratic_form(kind, shape, m).optimum()
 
 
-def _dual_constants(spec: EstimatorSpec) -> tuple[float, float]:
-    """(k1, k2) of a resolved spec; (1, 0) for the kinds without them."""
-    if not spec.kind.is_dual:
-        return 1.0, 0.0
-    if spec.k1 is None or spec.k2 is None:
-        raise ValueError(f"{spec.kind.value} requires explicit (k1, k2)")
-    return spec.k1, spec.k2
-
-
 def first_order_bias(spec: EstimatorSpec, m: CombinedMoments) -> float:
     """First-order bias of any estimator spec with resolved constants."""
     kind = spec.kind
-    k1, k2 = _dual_constants(spec)
+    k1, k2 = spec.dual_constants()
     phi1, phi2 = transform_coefficients(kind, spec.shape)
     kappa = 1.0 if kind.transforms_difference else 0.0
     shape_bias = (
@@ -240,7 +231,7 @@ def analyze(spec: EstimatorSpec, m: CombinedMoments) -> MseResult:
     """Resolve constants and compute the spec's first-order MSE result."""
     resolved = resolve_spec(spec, m)
     form = quadratic_form(resolved.kind, resolved.shape, m)
-    mse_value = form.value(*_dual_constants(resolved))
+    mse_value = form.value(*resolved.dual_constants())
     return MseResult(
         kind=spec.kind,
         mse=mse_value,

@@ -208,6 +208,16 @@ class TestCommands:
         assert code == 0
         assert "98.773" in out
 
+    def test_dual_constants_do_not_reach_t1(self, capsys):
+        # T1 has no (k1, k2): --k1/--k2 are ignored as they are in `mse`
+        code, out, _ = run_cli(
+            capsys, "estimate", "--data", "paper-1",
+            "--estimators", "t1", "--w", "1", "--k1", "0.5", "--k2", "0",
+            "--ybar-st", "100", "--xbar-st", "330",
+        )
+        assert code == 0
+        assert "98.773" in out and "49.3865" not in out
+
     def test_estimate_optimal_resolves_constants(self, capsys):
         code, out, _ = run_cli(
             capsys, "estimate", "--data", "paper-1",
@@ -336,6 +346,39 @@ class TestExitCodes:
         )
         assert code == 4
         assert err.startswith("error:non-positive-base:")
+
+    @pytest.mark.parametrize(
+        "flags, kinds",
+        [(("--estimators", "t2", "--p", "1"), "t2"),
+         (("--estimators", "t4,t6", "--a", "1", "--b", "0"), "t4, t6"),
+         (("--estimators", "t3", "--k1", "1"), "t3")],
+    )
+    def test_partial_constant_set_is_usage_error(self, capsys, flags, kinds):
+        code, out, err = run_cli(capsys, "mse", "--data", "paper-1", *flags)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error:usage: {kinds}: give all of --")
+
+    def test_table_without_data_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "table")
+        assert code == 2 and out == ""
+        assert err.startswith("error:usage: table requires --data")
+
+    def test_partial_set_unused_by_selected_kinds_is_ignored(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "mse", "--data", "paper-1", "--estimators", "t1", "--p", "1"
+        )
+        assert code == 0 and out.startswith("estimator")
+
+    def test_overflow_is_computation_error(self, capsys, tmp_path):
+        # optimal w = cov_xybar / (R var_xbar) ~ 2e154 overflows T2's curvature
+        doc = {"strata": [{"N": 2, "n": 1, "mean_y": 1, "mean_x": 1, "var_y": 1,
+                           "var_x": 2.2e-309, "cov_xy": 4.7e-155}]}
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "mse", "--data", str(path), "--estimators", "t2")
+        assert code == 4 and out == ""
+        assert err.startswith("error:computation: OverflowError")
+        assert err.count("\n") == 1
 
     def test_error_lines_are_single_line(self, capsys):
         code, _, err = run_cli(capsys, "moments", "--data", "paper-9")

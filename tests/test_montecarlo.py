@@ -2,12 +2,14 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import stratmean as sm
 from stratmean import EstimatorKind as K
+from stratmean.montecarlo import _draw_block, _merge_moments, _moments
 from stratmean.errors import (
     DegenerateStratum,
     InfeasibleMoments,
@@ -123,6 +125,51 @@ class TestDraw:
             assert abs(e.mean()) <= 3.0 * e.std(ddof=1) / math.sqrt(e.size)
 
 
+def _subset_frequencies(N: int, n: int, rows: int, seed: int) -> dict[int, float]:
+    """Share of each n-subset of N units over ``rows`` rows of ``_draw_block``.
+
+    Unit i has y = 2**i, so n * ybar is the bit mask of the row's subset.
+    """
+    y = 2.0 ** np.arange(N)
+    pop = sm.FinitePopulation((sm.MicrodataStratum(1, y, np.ones(N)),))
+    rng = np.random.default_rng(seed)
+    counts: dict[int, int] = {}
+    for _ in range(rows // 200_000):
+        yb, _ = _draw_block(rng, pop, (n,), (1.0,), 200_000)
+        masks, freq = np.unique(np.rint(n * yb).astype(np.int64), return_counts=True)
+        for mask, c in zip(masks.tolist(), freq.tolist()):
+            counts[mask] = counts.get(mask, 0) + c
+    return {mask: c / rows for mask, c in counts.items()}
+
+
+class TestFloydDraw:
+    # 1M rows: the +-2.5% band is 5.7 binomial SEs per subset at 1/20
+    # (2.6 at 200k rows, where one of 20 cells would stray about 1 run in 5)
+    ROWS = 1_000_000
+
+    @pytest.mark.parametrize("N, n", [(6, 3), (7, 5)])
+    def test_every_subset_equally_likely(self, N, n):
+        """(6, 3) draws the sample itself; (7, 5) draws the 2 left-out units."""
+        freq = _subset_frequencies(N, n, self.ROWS, seed=N)
+        subsets = {sum(1 << i for i in c) for c in itertools.combinations(range(N), n)}
+        assert set(freq) == subsets  # no repeated unit, every subset reached
+        share = 1.0 / math.comb(N, n)
+        for f in freq.values():
+            assert abs(f / share - 1.0) <= 0.025
+
+
+def test_merged_block_moments_match_one_pass():
+    """Pooling uneven blocks, an empty one included, equals the whole sample."""
+    values = 1e8 + np.random.default_rng(2).standard_normal(10_000)
+    pooled = (0, 0.0, 0.0)
+    for block in np.split(values, [3, 3, 4000, 9999]):
+        pooled = _merge_moments(pooled, _moments(block))
+    count, mean, ss = pooled
+    assert count == values.size
+    assert mean == pytest.approx(values.mean(), rel=1e-15)
+    assert ss / (count - 1) == pytest.approx(values.var(ddof=1), rel=1e-9)
+
+
 class TestEnumeration:
     def test_count(self, pop1, ds1):
         assert sm.enumeration_count(pop1, ds1.sample_sizes) == (
@@ -183,6 +230,34 @@ class TestReplicate:
         a = sm.replicate(pop1, ds1.sample_sizes, specs, reps=6000, seed=3, workers=1)
         b = sm.replicate(pop1, ds1.sample_sizes, specs, reps=6000, seed=3, workers=4)
         assert a == b
+
+    def test_paper2_report_independent_of_workers(self, ds2):
+        pop = sm.synthesize_population(ds2, seed=5)
+        specs = sm.default_table_specs()
+        a = sm.replicate(pop, ds2.sample_sizes, specs, reps=10_000, seed=9, workers=1)
+        b = sm.replicate(pop, ds2.sample_sizes, specs, reps=10_000, seed=9, workers=2)
+        assert a == b
+
+    def test_paper2_replicate_memory_bounded(self, ds2):
+        """The draw keeps O(count * n_h) state, not a count x N_h key matrix."""
+        pop = sm.synthesize_population(ds2, seed=5)
+        tracemalloc.start()
+        try:
+            sm.replicate(pop, ds2.sample_sizes, sm.default_table_specs(), reps=20_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
+
+    def test_se_bias_stable_under_large_offset(self, ds1, pop1):
+        """Shifting y by 1e8 moves every draw's ybar_st, not its spread."""
+        shifted = sm.FinitePopulation(
+            tuple(sm.MicrodataStratum(s.index, s.y + 1e8, s.x) for s in pop1.strata)
+        )
+        specs = [sm.EstimatorSpec(K.UNBIASED)]
+        base = sm.replicate(pop1, ds1.sample_sizes, specs, reps=20_000, seed=3)
+        moved = sm.replicate(shifted, ds1.sample_sizes, specs, reps=20_000, seed=3)
+        assert moved.rows[0].se_bias == pytest.approx(base.rows[0].se_bias, rel=1e-6)
 
     def test_deterministic_across_runs(self, ds1, pop1):
         specs = [sm.EstimatorSpec(K.T5)]
