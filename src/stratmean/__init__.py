@@ -17,7 +17,6 @@ from .design import (
     StratumSummary,
     aggregate_moments,
     design_from_microdata,
-    microdata_from_columns,
     summarize_stratum,
     validate_design,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "estimate_many",
     "first_order_bias",
     "get_dataset",
-    "microdata_from_columns",
     "optimal_dual",
     "pre",
     "quadratic_form",

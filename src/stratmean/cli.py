@@ -5,9 +5,15 @@ Commands
 moments    combined design moments of a dataset
 estimate   point estimates from observed combined sample means
 mse        first-order MSE/bias/PRE at given (or optimal) constants
-optimize   MSE-optimal constants per estimator
-table      the nine-row MSE/PRE comparison
+optimize   ``mse`` with k1/k2 left to their MSE-optimal values
+table      ``mse`` on ``--data``; ``--paper-layout`` puts both embedded
+           designs side by side in the original column layout
 simulate   Monte Carlo agreement report on a moment-matched population
+
+Each command is one path from flags to report: ``build_parser`` holds every
+flag and default, the handler that the subcommand names with ``set_defaults``
+reads the parsed ``Namespace`` and builds rows, and ``_write_report`` renders
+them.  ``mse``, ``optimize`` and ``table`` share one handler.
 
 Datasets are either embedded ids (``paper-1``, ``paper-2``) or files:
 ``summary-json`` (top-level ``{label?, known_mean_x?, strata: [...]}`` with
@@ -16,8 +22,9 @@ per-stratum ``{N, n, mean_y, mean_x, var_y, var_x, cov_xy | rho}``) or
 ``<file>.n.json`` sidecar mapping stratum label to n).
 
 Every failure prints one ``error:<code>: message`` line on stderr.  Exit
-codes: 0 ok, 2 usage (including a partial set of constants such as ``--p``
-without ``--a``/``--b``), 3 data, 4 computation, 5 failed strict verdict.
+codes: 0 ok, 2 usage (a bad or missing flag, an unknown or empty
+``--estimators`` list, or a partial set of constants such as ``--p`` without
+``--a``/``--b``), 3 data, 4 computation, 5 failed strict verdict.
 """
 
 from __future__ import annotations
@@ -28,16 +35,18 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from . import montecarlo
 from .datasets import get_dataset
 from .design import (
     DesignSummary,
+    Microdata,
+    MicrodataStratum,
     aggregate_moments,
     design_from_microdata,
-    microdata_from_columns,
     validate_design,
     StratumSummary,
 )
@@ -51,36 +60,6 @@ from .estimators import (
     estimate as estimate_point,
 )
 from .mse import analyze, default_table_specs, efficiency_table, resolve_spec
-
-DEFAULT_ESTIMATORS = "t1,t2,t3,t4,t5,t6,ratio,product,unbiased"
-
-
-@dataclass
-class RunConfig:
-    """Everything one invocation needs; mirrors the CLI flags."""
-
-    command: str
-    data: str | None = None
-    format: str = "summary-json"
-    estimators: str = DEFAULT_ESTIMATORS
-    w: float | None = None
-    p: float | None = None
-    a: float | None = None
-    b: float | None = None
-    k1: float | None = None
-    k2: float | None = None
-    optimal: bool = False
-    ybar_st: float | None = None
-    xbar_st: float | None = None
-    reps: int = 200_000
-    seed: int = 0
-    workers: int = 1
-    out: str | None = None
-    output_format: str = "text"
-    strict: bool = False
-    paper_layout: bool = False
-    full_precision: bool = False
-
 
 # ---------------------------------------------------------------------------
 # ingestion
@@ -168,9 +147,7 @@ def _design_from_csv(path: str) -> DesignSummary:
         raise SchemaError(
             f"{sidecar}: must map stratum label to sample size"
         ) from None
-    labels: list[int] = []
-    ys: list[float] = []
-    xs: list[float] = []
+    by_stratum: dict[int, tuple[list[float], list[float]]] = {}
     try:
         fh = open(path, newline="", encoding="utf-8")
     except FileNotFoundError:
@@ -186,15 +163,21 @@ def _design_from_csv(path: str) -> DesignSummary:
             if len(row) != 3:
                 raise ParseError(f"{path}: line {lineno}: expected 3 fields")
             try:
-                labels.append(int(row[0]))
-                ys.append(float(row[1]))
-                xs.append(float(row[2]))
+                key, y, x = int(row[0]), float(row[1]), float(row[2])
             except ValueError as exc:
                 raise ParseError(f"{path}: line {lineno}: {exc}") from None
-    if not labels:
+            columns = by_stratum.get(key)
+            if columns is None:
+                columns = by_stratum[key] = ([], [])
+            columns[0].append(y)
+            columns[1].append(x)
+    if not by_stratum:
         raise ParseError(f"{path}: no data rows")
-    data = microdata_from_columns(labels, ys, xs, label=Path(path).stem)
-    return design_from_microdata(data, sizes)
+    strata = tuple(
+        MicrodataStratum(key, np.array(ys), np.array(xs))
+        for key, (ys, xs) in sorted(by_stratum.items())
+    )
+    return design_from_microdata(Microdata(strata, label=Path(path).stem), sizes)
 
 
 def ingest(source: str, fmt: str = "summary-json") -> DesignSummary:
@@ -272,9 +255,13 @@ class Emitter:
         return "\n".join(lines) + "\n"
 
 
-def _write(config: RunConfig, content: str) -> None:
-    if config.out:
-        Path(config.out).write_text(content, encoding="utf-8")
+def _write_report(
+    args: argparse.Namespace, rows: list[dict], header_lines: list[str] | None = None
+) -> None:
+    """Render ``rows`` in the requested format to ``--out`` or stdout."""
+    content = Emitter(args.output_format, args.full_precision).render(rows, header_lines)
+    if args.out:
+        Path(args.out).write_text(content, encoding="utf-8")
     else:
         sys.stdout.write(content)
 
@@ -283,41 +270,25 @@ def _write(config: RunConfig, content: str) -> None:
 # command implementations
 
 
-def _shape_from_config(config: RunConfig) -> ShapeParams | None:
-    if config.optimal:
-        return None
-    if all(v is None for v in (config.w, config.p, config.a, config.b)):
-        return None
-    return ShapeParams(w=config.w, p=config.p, a=config.a, b=config.b)
-
-
-def _specs_from_config(config: RunConfig) -> list[EstimatorSpec]:
-    shape = _shape_from_config(config)
-    k1 = None if config.optimal else config.k1
-    k2 = None if config.optimal else config.k2
-    specs = []
-    for name in config.estimators.split(","):
-        name = name.strip().lower()
-        if not name:
-            continue
-        try:
-            kind = KIND_BY_NAME[name]
-        except KeyError:
-            known = ", ".join(k.value for k in EstimatorKind)
-            raise SchemaError(f"unknown estimator {name!r}; one of: {known}") from None
-        specs.append(EstimatorSpec(kind, shape=shape, k1=k1, k2=k2))
-    if not specs:
-        raise SchemaError("no estimators selected")
-    if not config.optimal:
-        _require_whole_set(
-            [spec.label for spec in specs if spec.kind.uses_mixing],
-            {"p": config.p, "a": config.a, "b": config.b},
-        )
-        _require_whole_set(
-            [spec.label for spec in specs if spec.kind.is_dual],
-            {"k1": config.k1, "k2": config.k2},
-        )
-    return specs
+def _specs(args: argparse.Namespace) -> list[EstimatorSpec]:
+    """One spec per ``--estimators`` kind, carrying the constants given."""
+    if args.optimal:
+        return [EstimatorSpec(kind) for kind in args.estimators]
+    _require_whole_set(
+        [kind.value for kind in args.estimators if kind.uses_mixing],
+        {"p": args.p, "a": args.a, "b": args.b},
+    )
+    _require_whole_set(
+        [kind.value for kind in args.estimators if kind.is_dual],
+        {"k1": args.k1, "k2": args.k2},
+    )
+    shape = None
+    if any(v is not None for v in (args.w, args.p, args.a, args.b)):
+        shape = ShapeParams(w=args.w, p=args.p, a=args.a, b=args.b)
+    return [
+        EstimatorSpec(kind, shape=shape, k1=args.k1, k2=args.k2)
+        for kind in args.estimators
+    ]
 
 
 def _require_whole_set(users: list[str], flags: dict[str, float | None]) -> None:
@@ -343,8 +314,8 @@ def _result_row(result) -> dict:
     }
 
 
-def _cmd_moments(config: RunConfig) -> int:
-    design = ingest(config.data, config.format)  # type: ignore[arg-type]
+def _cmd_moments(args: argparse.Namespace) -> int:
+    design = ingest(args.data, args.format)
     m = aggregate_moments(design)
     rows = [
         {
@@ -359,18 +330,16 @@ def _cmd_moments(config: RunConfig) -> int:
             "cov_xybar": m.cov_xybar,
         }
     ]
-    _write(config, Emitter(config.output_format, config.full_precision).render(rows))
+    _write_report(args, rows)
     return 0
 
 
-def _cmd_estimate(config: RunConfig) -> int:
-    if config.ybar_st is None or config.xbar_st is None:
-        raise SchemaError("estimate requires --ybar-st and --xbar-st")
-    design = ingest(config.data, config.format)  # type: ignore[arg-type]
+def _cmd_estimate(args: argparse.Namespace) -> int:
+    design = ingest(args.data, args.format)
     m = aggregate_moments(design)
-    stats = SampleStats(config.ybar_st, config.xbar_st)
+    stats = SampleStats(args.ybar_st, args.xbar_st)
     rows = []
-    for spec in _specs_from_config(config):
+    for spec in _specs(args):
         resolved = resolve_spec(spec, m)
         value = estimate_point(resolved, stats, m.mean_x)
         rows.append(
@@ -380,77 +349,66 @@ def _cmd_estimate(config: RunConfig) -> int:
                 **_constant_columns(resolved.constants()),
             }
         )
-    _write(config, Emitter(config.output_format, config.full_precision).render(rows))
+    _write_report(args, rows)
     return 0
 
 
-def _cmd_mse(config: RunConfig) -> int:
-    design = ingest(config.data, config.format)  # type: ignore[arg-type]
-    m = aggregate_moments(design)
-    rows = [_result_row(analyze(spec, m)) for spec in _specs_from_config(config)]
-    _write(config, Emitter(config.output_format, config.full_precision).render(rows))
-    return 0
+def _cmd_mse(args: argparse.Namespace) -> int:
+    """``mse``, ``optimize`` and ``table``: one MSE/PRE row per estimator.
 
-
-def _cmd_optimize(config: RunConfig) -> int:
-    design = ingest(config.data, config.format)  # type: ignore[arg-type]
-    m = aggregate_moments(design)
-    rows = []
-    for spec in _specs_from_config(config):
-        # keep any explicit shape, drop explicit duals: optimize resolves them
-        free = EstimatorSpec(spec.kind, shape=spec.shape)
-        rows.append(_result_row(analyze(free, m)))
-    _write(config, Emitter(config.output_format, config.full_precision).render(rows))
-    return 0
-
-
-def _cmd_table(config: RunConfig) -> int:
-    emitter = Emitter(config.output_format, config.full_precision)
-    if config.paper_layout:
-        results = {
-            name: efficiency_table(ingest(name), default_table_specs())
-            for name in ("paper-1", "paper-2")
-        }
-        rows = []
-        # the source table's Data-1 column carries the orchard-survey values
-        # and Data-2 the cane-juice values; reproduced here for side-by-side
-        # checking against the original layout
-        for r1, r2 in zip(results["paper-2"], results["paper-1"]):
-            rows.append(
-                {
-                    "estimator": r1.label,
-                    "mse_data1": r1.mse,
-                    "pre_data1": r1.pre,
-                    "mse_data2": r2.mse,
-                    "pre_data2": r2.pre,
-                }
-            )
-        notes = [
-            "# layout note: Data-1 columns hold paper-2 results and Data-2",
-            "# columns hold paper-1 results, matching the original table.",
-        ]
-        _write(config, emitter.render(rows, header_lines=notes))
+    ``optimize`` is ``mse`` with any explicit k1/k2 left to the optimum.
+    """
+    if args.command == "table" and args.paper_layout:
+        _write_report(args, *_paper_layout())
         return 0
-    design = ingest(config.data, config.format)  # type: ignore[arg-type]
-    customized = config.estimators != DEFAULT_ESTIMATORS or any(
-        v is not None for v in (config.w, config.p, config.a, config.b, config.k1, config.k2)
-    )
-    specs = _specs_from_config(config) if customized else list(default_table_specs())
-    rows = [_result_row(r) for r in efficiency_table(design, specs)]
-    _write(config, emitter.render(rows))
+    if args.command == "table" and not args.data:
+        raise UsageError("table requires --data unless --paper-layout is given")
+    design = ingest(args.data, args.format)
+    m = aggregate_moments(design)
+    specs = _specs(args)
+    if args.command == "optimize":
+        specs = [EstimatorSpec(spec.kind, shape=spec.shape) for spec in specs]
+    _write_report(args, [_result_row(analyze(spec, m)) for spec in specs])
     return 0
 
 
-def _cmd_simulate(config: RunConfig) -> int:
-    design = ingest(config.data, config.format)  # type: ignore[arg-type]
-    pop = montecarlo.synthesize_population(design, seed=config.seed)
+def _paper_layout() -> tuple[list[dict], list[str]]:
+    """Rows and notes of ``table --paper-layout``."""
+    results = {
+        name: efficiency_table(ingest(name), default_table_specs())
+        for name in ("paper-1", "paper-2")
+    }
+    rows = []
+    # the source table's Data-1 column carries the orchard-survey values
+    # and Data-2 the cane-juice values; reproduced here for side-by-side
+    # checking against the original layout
+    for r1, r2 in zip(results["paper-2"], results["paper-1"]):
+        rows.append(
+            {
+                "estimator": r1.label,
+                "mse_data1": r1.mse,
+                "pre_data1": r1.pre,
+                "mse_data2": r2.mse,
+                "pre_data2": r2.pre,
+            }
+        )
+    notes = [
+        "# layout note: Data-1 columns hold paper-2 results and Data-2",
+        "# columns hold paper-1 results, matching the original table.",
+    ]
+    return rows, notes
+
+
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    design = ingest(args.data, args.format)
+    pop = montecarlo.synthesize_population(design, seed=args.seed)
     report = montecarlo.replicate(
         pop,
         design.sample_sizes,
-        _specs_from_config(config),
-        reps=config.reps,
-        seed=config.seed,
-        workers=config.workers,
+        _specs(args),
+        reps=args.reps,
+        seed=args.seed,
+        workers=args.workers,
     )
     rows = []
     for r in report.rows:
@@ -477,24 +435,21 @@ def _cmd_simulate(config: RunConfig) -> int:
         f"# policy: {report.policy}",
         f"# agreement: {'ok' if report.all_ok else 'FAILED'}",
     ]
-    _write(config, Emitter(config.output_format, config.full_precision).render(rows, header))
-    if config.strict and not report.all_ok:
+    _write_report(args, rows, header)
+    if args.strict and not report.all_ok:
         return 5
     return 0
 
 
-_COMMANDS = {
-    "moments": _cmd_moments,
-    "estimate": _cmd_estimate,
-    "mse": _cmd_mse,
-    "optimize": _cmd_optimize,
-    "table": _cmd_table,
-    "simulate": _cmd_simulate,
-}
-
-
 # ---------------------------------------------------------------------------
 # argument parsing
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse whose failures are one ``error:usage:`` line, exit 2."""
+
+    def error(self, message: str):
+        raise UsageError(f"{self.prog}: {message}")
 
 
 def _positive_int(text: str) -> int:
@@ -507,8 +462,27 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _estimator_kinds(text: str) -> list[EstimatorKind]:
+    """A comma-separated ``--estimators`` list as kinds; empty names are skipped."""
+    kinds = []
+    for name in text.split(","):
+        name = name.strip().lower()
+        if not name:
+            continue
+        try:
+            kinds.append(KIND_BY_NAME[name])
+        except KeyError:
+            known = ", ".join(k.value for k in EstimatorKind)
+            raise argparse.ArgumentTypeError(
+                f"unknown estimator {name!r}; one of: {known}"
+            ) from None
+    if not kinds:
+        raise argparse.ArgumentTypeError("no estimators selected")
+    return kinds
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stratmean",
         description="Stratified-sampling mean estimation and MSE analysis.",
     )
@@ -541,7 +515,8 @@ def build_parser() -> argparse.ArgumentParser:
     def estimator_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--estimators",
-            default=DEFAULT_ESTIMATORS,
+            type=_estimator_kinds,
+            default="t1,t2,t3,t4,t5,t6,ratio,product,unbiased",
             help="comma-separated list (t1..t6, ratio, product, unbiased)",
         )
         p.add_argument("--w", type=float)
@@ -558,20 +533,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("moments", help="combined design moments")
     common(p)
+    p.set_defaults(handler=_cmd_moments)
 
     p = sub.add_parser("estimate", help="point estimates from sample means")
     common(p)
     estimator_flags(p)
     p.add_argument("--ybar-st", type=float, required=True, dest="ybar_st")
     p.add_argument("--xbar-st", type=float, required=True, dest="xbar_st")
+    p.set_defaults(handler=_cmd_estimate)
 
     p = sub.add_parser("mse", help="first-order MSE/bias/PRE")
     common(p)
     estimator_flags(p)
+    p.set_defaults(handler=_cmd_mse)
 
     p = sub.add_parser("optimize", help="MSE-optimal constants")
     common(p)
     estimator_flags(p)
+    p.set_defaults(handler=_cmd_mse)
 
     p = sub.add_parser("table", help="nine-row MSE/PRE comparison")
     common(p, data_required=False)
@@ -581,6 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="both embedded datasets side by side in the original column layout",
     )
+    p.set_defaults(handler=_cmd_mse)
 
     p = sub.add_parser("simulate", help="Monte Carlo agreement report")
     common(p)
@@ -593,35 +573,16 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="exit 5 if any agreement verdict fails",
     )
+    p.set_defaults(handler=_cmd_simulate)
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    known = {f.name for f in RunConfig.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-    payload = {k: v for k, v in vars(args).items() if k in known and v is not None}
-    return RunConfig(**payload)
-
-
-def run(config: RunConfig) -> int:
-    """Dispatch a command; raises package errors for main() to report."""
-    if config.command == "table" and not config.paper_layout and not config.data:
-        raise UsageError("table requires --data unless --paper-layout is given")
-    try:
-        handler = _COMMANDS[config.command]
-    except KeyError:
-        raise SchemaError(f"unknown command {config.command!r}") from None
-    return handler(config)
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = build_parser().parse_args(argv)
+        return args.handler(args)
+    except SystemExit as exc:  # --help prints to stdout and exits 0
         return int(exc.code or 0)
-    config = config_from_args(args)
-    try:
-        return run(config)
     except StratmeanError as exc:
         print(f"error:{exc.code}: {exc}", file=sys.stderr)
         return exc.exit_code

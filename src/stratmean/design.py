@@ -20,7 +20,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -314,22 +314,3 @@ def aggregate_moments(design: DesignSummary) -> CombinedMoments:
         var_xbar=var_xbar,
         cov_xybar=cov_xybar,
     )
-
-
-def microdata_from_columns(
-    stratum_labels: Iterable[int],
-    y: Iterable[float],
-    x: Iterable[float],
-    label: str = "",
-) -> Microdata:
-    """Group parallel (stratum, y, x) columns into Microdata, ascending index."""
-    by_stratum: dict[int, tuple[list[float], list[float]]] = {}
-    for s, yv, xv in zip(stratum_labels, y, x):
-        ys, xs = by_stratum.setdefault(int(s), ([], []))
-        ys.append(float(yv))
-        xs.append(float(xv))
-    strata = tuple(
-        MicrodataStratum(idx, np.array(ys), np.array(xs))
-        for idx, (ys, xs) in sorted(by_stratum.items())
-    )
-    return Microdata(strata, label=label)

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -113,17 +112,6 @@ class SampleStats:
 
     ybar_st: float
     xbar_st: float
-
-    @classmethod
-    def from_stratum_means(
-        cls,
-        weights: Sequence[float],
-        ybars: Sequence[float],
-        xbars: Sequence[float],
-    ) -> "SampleStats":
-        yb = sum(w * v for w, v in zip(weights, ybars))
-        xb = sum(w * v for w, v in zip(weights, xbars))
-        return cls(yb, xb)
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,7 @@ from .errors import (
     InfeasibleMoments,
     NonPositiveCount,
     SampleExceedsStratum,
+    ValidationError,
 )
 from .estimators import EstimatorSpec, SampleStats, estimate_many
 
@@ -191,6 +192,9 @@ def synthesize_population(
 
 
 def _check_sample_sizes(pop: FinitePopulation, sample_sizes: Sequence[int]) -> tuple[int, ...]:
+    for v in sample_sizes:  # int() would truncate 2.7 and read True as 1
+        if isinstance(v, (bool, np.bool_)) or v != int(v):
+            raise ValidationError(f"sample size {v!r} is not an integer")
     n = tuple(int(v) for v in sample_sizes)
     if len(n) != len(pop.strata):
         raise SampleExceedsStratum(

@@ -309,8 +309,15 @@ class TestExitCodes:
         assert err.startswith("error:unknown-dataset:")
 
     def test_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "moments")  # missing --data
-        assert code == 2
+        code, out, err = run_cli(capsys, "moments")  # missing --data
+        assert code == 2 and out == ""
+        assert err.startswith("error:usage: stratmean moments: ")
+        assert "required: --data" in err and err.count("\n") == 1
+
+    def test_help_goes_to_stdout(self, capsys):
+        code, out, err = run_cli(capsys, "mse", "--help")
+        assert code == 0 and err == ""
+        assert out.startswith("usage: stratmean mse") and "--estimators" in out
 
     @pytest.mark.parametrize(
         "flag", [("--reps", "0"), ("--reps", "-5"), ("--workers", "0"), ("--workers", "-3")]
@@ -322,12 +329,16 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert f"argument {flag[0]}: must be at least 1" in err
 
-    def test_unknown_estimator(self, capsys):
-        code, _, err = run_cli(
-            capsys, "mse", "--data", "paper-1", "--estimators", "t9"
+    @pytest.mark.parametrize(
+        "names, message", [("t9", "unknown estimator 't9'"), (",", "no estimators selected")]
+    )
+    def test_unknown_estimator(self, capsys, names, message):
+        code, out, err = run_cli(
+            capsys, "mse", "--data", "paper-1", "--estimators", names
         )
-        assert code == 3
-        assert err.startswith("error:schema:")
+        assert code == 2 and out == ""
+        assert err.startswith("error:usage: stratmean mse: argument --estimators: ")
+        assert message in err and err.count("\n") == 1
 
     def test_validation_error_exit(self, capsys, tmp_path):
         doc = json.loads(json.dumps(SUMMARY_DOC))

@@ -1,8 +1,9 @@
-"""Golden test: the CLI's default-precision output bytes are locked.
+"""Golden test: the CLI's output bytes are locked.
 
 ``cli_golden.json`` holds the sha256 of stdout and the exit code of each
-command below.  The digests were taken before the MSE code was folded into
-one quadratic form, so any refactor that changes a printed digit fails here
+command below: every MSE-report command at default and full precision, a
+non-default constant set run as both ``table`` and ``mse``, and a short
+seeded ``simulate``.  Any refactor that changes a printed digit fails here
 with the command that changed.  Regenerate deliberately, after checking the
 new output by hand, with ``PYTHONPATH=src python tests/test_cli_golden.py``.
 """
@@ -33,6 +34,21 @@ def golden_commands() -> list[list[str]]:
             ]
     for fmt in ("text", "csv", "json"):
         commands.append(["table", "--paper-layout", "--output-format", fmt])
+    for data in ("paper-1", "paper-2"):
+        tail = ["--data", data, "--full-precision", "--output-format", "json"]
+        commands += [
+            ["table", *tail],
+            ["mse", *tail],
+            ["optimize", *tail],
+            ["estimate", *tail, "--ybar-st", "50", "--xbar-st", "40"],
+        ]
+    custom = ["--estimators", "t3,t4,t6", "--k1", "0.9", "--k2", "0.01",
+              "--p", "1", "--a", "1", "--b", "0"]
+    for cmd in ("table", "mse"):
+        commands.append([cmd, "--data", "paper-1", *custom])
+    commands.append(
+        ["simulate", "--data", "paper-1", "--reps", "2000", "--seed", "3", "--full-precision"]
+    )
     return commands
 
 
@@ -45,7 +61,7 @@ def run(argv: list[str]) -> dict:
 
 
 @pytest.mark.parametrize("argv", golden_commands(), ids=" ".join)
-def test_default_precision_output_unchanged(argv):
+def test_output_unchanged(argv):
     want = json.loads(GOLDEN.read_text(encoding="utf-8"))[" ".join(argv)]
     got = run(argv)
     assert got == want, f"output of `stratmean {' '.join(argv)}` changed"

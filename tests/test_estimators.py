@@ -211,12 +211,3 @@ def test_missing_constants_raise():
         sm.estimate(sm.EstimatorSpec(K.T3, sm.ShapeParams(w=1.0)), stats(), MEAN_X)
     with pytest.raises(ValueError):
         estimate(K.T1, stats(), sm.ShapeParams())
-
-
-def test_from_stratum_means(ds1):
-    weights = ds1.weights
-    ybars = [s.mean_y for s in ds1.strata]
-    xbars = [s.mean_x for s in ds1.strata]
-    s = sm.SampleStats.from_stratum_means(weights, ybars, xbars)
-    assert s.ybar_st == pytest.approx(102.5996, rel=1e-12)
-    assert s.xbar_st == pytest.approx(sum(w * v for w, v in zip(weights, xbars)), rel=1e-15)

@@ -15,6 +15,7 @@ from stratmean.errors import (
     InfeasibleMoments,
     NonPositiveCount,
     SampleExceedsStratum,
+    ValidationError,
 )
 
 
@@ -112,6 +113,12 @@ class TestDraw:
             sm.draw_stratified_srswor(pop1, (7, 4, 3), seed=0)
         with pytest.raises(NonPositiveCount):
             sm.draw_stratified_srswor(pop1, (0, 4, 3), seed=0)
+        for bad in ((2.7, 4, 3), (True, 4, 3)):
+            with pytest.raises(ValidationError, match="is not an integer"):
+                sm.draw_stratified_srswor(pop1, bad, seed=0)
+            with pytest.raises(ValidationError, match="is not an integer"):
+                sm.enumeration_count(pop1, bad)
+        assert sm.enumeration_count(pop1, (3.0, 4, 3)) == sm.enumeration_count(pop1, (3, 4, 3))
 
     def test_mean_deviations_center_on_zero(self, ds1, pop1):
         """e0 and e1 average to ~0 over replications (3 MC SE band)."""
