@@ -7,7 +7,8 @@ estimate   point estimates from observed combined sample means
 mse        first-order MSE/bias/PRE at given (or optimal) constants
 optimize   ``mse`` with k1/k2 left to their MSE-optimal values
 table      ``mse`` on ``--data``; ``--paper-layout`` puts both embedded
-           designs side by side in the original column layout
+           designs side by side in the original column layout, and takes
+           no data, format, estimator or constant flags
 simulate   Monte Carlo agreement report on a moment-matched population
 
 Each command is one path from flags to report: ``build_parser`` holds every
@@ -19,7 +20,11 @@ Datasets are either embedded ids (``paper-1``, ``paper-2``) or files:
 ``summary-json`` (top-level ``{label?, known_mean_x?, strata: [...]}`` with
 per-stratum ``{N, n, mean_y, mean_x, var_y, var_x, cov_xy | rho}``) or
 ``microdata-csv`` (header ``stratum,y,x``; per-stratum sample sizes in a
-``<file>.n.json`` sidecar mapping stratum label to n).
+``<file>.n.json`` sidecar mapping stratum label to n).  The data rows of a
+CSV are read by one ``numpy.loadtxt`` call, which alone decides whether the
+file is accepted; rows are then grouped by stratum with a stable sort, so
+each stratum keeps file order.  Only a file that ``loadtxt`` rejected is
+scanned again line by line, to name the first bad line in the error.
 
 Every failure prints one ``error:<code>: message`` line on stderr.  Exit
 codes: 0 ok, 2 usage (a bad or missing flag, an unknown or empty
@@ -34,8 +39,11 @@ import csv
 import io
 import json
 import math
+import re
 import sys
+import warnings
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -136,52 +144,113 @@ def _summary_from_json(path: str) -> DesignSummary:
     )
 
 
+#: One data row of a ``microdata-csv`` file.
+_CSV_ROW = np.dtype([("s", np.int64), ("y", float), ("x", float)])
+
+# The cell syntax numpy's loadtxt accepts: ASCII digits, no underscores,
+# whitespace around the cell.  The scan uses it to name the bad line of a
+# file loadtxt rejected; sidecar labels must match _LABEL as well.
+_LABEL = re.compile(r"\s*[+-]?[0-9]+\s*")
+_NUMBER = re.compile(
+    r"\s*[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|inf|infinity|nan)\s*",
+    re.IGNORECASE,
+)
+
+
+def _open_csv(path: str):
+    """The CSV as text for ``csv.reader``.
+
+    Bytes that are not UTF-8 read as U+FFFD, which no cell accepts, so the
+    scan names their line.
+    """
+    try:
+        return open(path, newline="", encoding="utf-8", errors="replace")
+    except FileNotFoundError:
+        raise ParseError(f"{path}: file not found") from None
+
+
 def _design_from_csv(path: str) -> DesignSummary:
     sidecar = Path(f"{path}.n.json")
     if not sidecar.exists():
         raise SchemaError(f"{sidecar}: sample-size sidecar not found")
     try:
         sizes_raw = json.loads(sidecar.read_text(encoding="utf-8"))
+        if not all(_LABEL.fullmatch(k) for k in sizes_raw):
+            raise ValueError("labels take the CSV's integer syntax")
         sizes = {int(k): _count(v) for k, v in sizes_raw.items()}
     except (json.JSONDecodeError, TypeError, ValueError, AttributeError):
         raise SchemaError(
             f"{sidecar}: must map stratum label to sample size"
         ) from None
-    by_stratum: dict[int, tuple[list[float], list[float]]] = {}
+    with _open_csv(path) as fh:
+        header = next(csv.reader(fh), None)
+    if header is None or [h.strip() for h in header] != ["stratum", "y", "x"]:
+        raise SchemaError(f"{path}: header must be 'stratum,y,x'")
     try:
-        fh = open(path, newline="", encoding="utf-8")
-    except FileNotFoundError:
-        raise ParseError(f"{path}: file not found") from None
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["stratum", "y", "x"]:
-            raise SchemaError(f"{path}: header must be 'stratum,y,x'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 3:
-                raise ParseError(f"{path}: line {lineno}: expected 3 fields")
-            try:
-                key, y, x = int(row[0]), float(row[1]), float(row[2])
-            except ValueError as exc:
-                raise ParseError(f"{path}: line {lineno}: {exc}") from None
-            columns = by_stratum.get(key)
-            if columns is None:
-                columns = by_stratum[key] = ([], [])
-            columns[0].append(y)
-            columns[1].append(x)
-    if not by_stratum:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            # numpy deprecated, then removed, reading a float cell such as
+            # 1.5 into an integer column; while deprecated it only warns
+            warnings.simplefilter("error", DeprecationWarning)
+            rows = np.loadtxt(
+                path, dtype=_CSV_ROW, delimiter=",", comments=None, quotechar='"',
+                skiprows=1, ndmin=1, encoding="utf-8",
+            )
+    except ValueError as exc:
+        _raise_bad_line(path, exc)
+    if rows.size == 0:
         raise ParseError(f"{path}: no data rows")
+    # a stable sort keeps file order within each stratum, so the stratum
+    # sums run over the values in the order the file gives them
+    order = np.argsort(rows["s"], kind="stable")
+    labels, starts = np.unique(rows["s"][order], return_index=True)
     strata = tuple(
-        MicrodataStratum(key, np.array(ys), np.array(xs))
-        for key, (ys, xs) in sorted(by_stratum.items())
+        MicrodataStratum(int(label), rows["y"][members], rows["x"][members])
+        for label, members in zip(labels, np.split(order, starts[1:]))
     )
     return design_from_microdata(Microdata(strata, label=Path(path).stem), sizes)
 
 
-def ingest(source: str, fmt: str = "summary-json") -> DesignSummary:
-    """Resolve a dataset id or file into a validated design."""
+def _raise_bad_line(path: str, reason: Exception) -> NoReturn:
+    """Raise the line-numbered ParseError for a CSV that loadtxt rejected.
+
+    It runs only after ``np.loadtxt`` has refused the file and never
+    returns: it names the first data line that breaks the accepted syntax,
+    or, when it finds none, reports loadtxt's own message.
+    """
+    with _open_csv(path) as fh:
+        reader = csv.reader(fh)
+        try:
+            next(reader, None)  # the header, checked already
+            for row in reader:
+                problem = _row_problem(row)
+                if problem:
+                    raise ParseError(f"{path}: line {reader.line_num}: {problem}")
+        except csv.Error as exc:
+            raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
+    raise ParseError(f"{path}: {reason}")
+
+
+def _row_problem(row: list[str]) -> str | None:
+    """Why one CSV record is not a data row, or None if it is one (or blank)."""
+    if not row:
+        return None
+    if len(row) != 3:
+        return f"expected 3 fields, got {len(row)}"
+    label, y, x = row
+    if not _LABEL.fullmatch(label) or not -(2**63) <= int(label) < 2**63:
+        return f"stratum label {label!r} is not a 64-bit integer"
+    for name, cell in (("y", y), ("x", x)):
+        if not _NUMBER.fullmatch(cell):
+            return f"{name} value {cell!r} is not a number"
+    return None
+
+
+def ingest(source: str, fmt: str | None = None) -> DesignSummary:
+    """Resolve a dataset id or file into a validated design.
+
+    ``fmt`` is ``summary-json`` (the default) or ``microdata-csv``.
+    """
     from .datasets import EMBEDDED
     from .errors import UnknownDataset
 
@@ -192,7 +261,7 @@ def ingest(source: str, fmt: str = "summary-json") -> DesignSummary:
         raise UnknownDataset(
             f"{source!r} is neither an embedded dataset id ({known}) nor an existing file"
         )
-    if fmt == "summary-json":
+    if fmt in (None, "summary-json"):
         return _summary_from_json(source)
     if fmt == "microdata-csv":
         return _design_from_csv(source)
@@ -271,24 +340,23 @@ def _write_report(
 
 
 def _specs(args: argparse.Namespace) -> list[EstimatorSpec]:
-    """One spec per ``--estimators`` kind, carrying the constants given."""
+    """One spec per ``--estimators`` kind (default: the nine table rows),
+    carrying the constants given."""
+    kinds = args.estimators or [spec.kind for spec in default_table_specs()]
     if args.optimal:
-        return [EstimatorSpec(kind) for kind in args.estimators]
+        return [EstimatorSpec(kind) for kind in kinds]
     _require_whole_set(
-        [kind.value for kind in args.estimators if kind.uses_mixing],
+        [kind.value for kind in kinds if kind.uses_mixing],
         {"p": args.p, "a": args.a, "b": args.b},
     )
     _require_whole_set(
-        [kind.value for kind in args.estimators if kind.is_dual],
+        [kind.value for kind in kinds if kind.is_dual],
         {"k1": args.k1, "k2": args.k2},
     )
     shape = None
     if any(v is not None for v in (args.w, args.p, args.a, args.b)):
         shape = ShapeParams(w=args.w, p=args.p, a=args.a, b=args.b)
-    return [
-        EstimatorSpec(kind, shape=shape, k1=args.k1, k2=args.k2)
-        for kind in args.estimators
-    ]
+    return [EstimatorSpec(kind, shape=shape, k1=args.k1, k2=args.k2) for kind in kinds]
 
 
 def _require_whole_set(users: list[str], flags: dict[str, float | None]) -> None:
@@ -353,12 +421,20 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     return 0
 
 
+#: Flags that ``table --paper-layout`` would otherwise ignore; each defaults
+#: to None so that giving it at all is seen.
+_NOT_IN_PAPER_LAYOUT = ("data", "format", "estimators", "optimal", "w", "p", "a", "b", "k1", "k2")
+
+
 def _cmd_mse(args: argparse.Namespace) -> int:
     """``mse``, ``optimize`` and ``table``: one MSE/PRE row per estimator.
 
     ``optimize`` is ``mse`` with any explicit k1/k2 left to the optimum.
     """
     if args.command == "table" and args.paper_layout:
+        given = [f"--{name}" for name in _NOT_IN_PAPER_LAYOUT if getattr(args, name) is not None]
+        if given:
+            raise UsageError(f"--paper-layout fixes the data and estimators; drop {', '.join(given)}")
         _write_report(args, *_paper_layout())
         return 0
     if args.command == "table" and not args.data:
@@ -497,7 +573,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--format",
             choices=("summary-json", "microdata-csv"),
-            default="summary-json",
             help="input file format (ignored for embedded ids)",
         )
         p.add_argument("--out", help="write the report to this path instead of stdout")
@@ -516,7 +591,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--estimators",
             type=_estimator_kinds,
-            default="t1,t2,t3,t4,t5,t6,ratio,product,unbiased",
             help="comma-separated list (t1..t6, ratio, product, unbiased)",
         )
         p.add_argument("--w", type=float)
@@ -528,6 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--optimal",
             action="store_true",
+            default=None,
             help="resolve all constants to their MSE-optimal values",
         )
 

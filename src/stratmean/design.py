@@ -262,11 +262,22 @@ def design_from_microdata(
     """Summarize every stratum of ``data`` and assemble a validated design.
 
     ``sample_sizes`` maps stratum index to n_h, or gives the n_h in stratum
-    order.
+    order.  A size for a stratum that ``data`` does not hold is rejected,
+    so a mistyped label cannot pass unnoticed.
     """
     if isinstance(sample_sizes, Mapping):
         lookup = dict(sample_sizes)
+        held = {s.index for s in data.strata}
+        unheld = [str(index) for index in lookup if index not in held]
+        if unheld:
+            raise DegenerateStratum(
+                f"stratum {', '.join(unheld)}: sample size given, but no units"
+            )
     else:
+        if len(sample_sizes) != len(data.strata):
+            raise ValidationError(
+                f"expected {len(data.strata)} sample sizes, got {len(sample_sizes)}"
+            )
         lookup = {s.index: n for s, n in zip(data.strata, sample_sizes)}
     summaries = []
     for stratum in data.strata:

@@ -197,9 +197,7 @@ def _check_sample_sizes(pop: FinitePopulation, sample_sizes: Sequence[int]) -> t
             raise ValidationError(f"sample size {v!r} is not an integer")
     n = tuple(int(v) for v in sample_sizes)
     if len(n) != len(pop.strata):
-        raise SampleExceedsStratum(
-            f"expected {len(pop.strata)} sample sizes, got {len(n)}"
-        )
+        raise ValidationError(f"expected {len(pop.strata)} sample sizes, got {len(n)}")
     for s, nh in zip(pop.strata, n):
         if nh <= 0:
             raise NonPositiveCount(f"stratum {s.index}: n={nh} must be positive")

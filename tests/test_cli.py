@@ -3,9 +3,13 @@
 import csv
 import io
 import json
+import warnings
 
+import numpy as np
 import pytest
 
+import stratmean as sm
+from stratmean import cli
 from stratmean.cli import ingest, main
 from stratmean.errors import (
     CorrelationOutOfRange,
@@ -153,11 +157,158 @@ class TestIngest:
         with pytest.raises(SchemaError):
             ingest(path, "microdata-csv")
 
+    @pytest.mark.parametrize("label", ["1_0", "١٠", "1.0", "ten"])
+    def test_microdata_sidecar_label_syntax(self, tmp_path, label):
+        # the sidecar's labels read like the CSV's: "1_0" is not stratum 10
+        rows = [(10, 1.0, 2.0), (10, 3.0, 6.0), (10, 2.0, 4.0)]
+        path = self.write_microdata(tmp_path, rows, {label: 2})
+        with pytest.raises(SchemaError, match="must map stratum label"):
+            ingest(path, "microdata-csv")
+
     def test_microdata_missing_sidecar(self, tmp_path):
         path = tmp_path / "micro.csv"
         path.write_text("stratum,y,x\n1,1.0,2.0\n1,2.0,3.0\n")
         with pytest.raises(SchemaError):
             ingest(str(path), "microdata-csv")
+
+
+# five data rows over two strata, interleaved; line 1 is the header
+GOOD_ROWS = ["1,1.0,2.0", "2,5.0,1.0", "1,3.0,6.5", "2,7.0,3.0", "1,2.0,4.25"]
+GOOD_SIZES = {"1": 2, "2": 1}
+
+
+def write_frame(tmp_path, text, sizes=GOOD_SIZES):
+    path = tmp_path / "frame.csv"
+    path.write_bytes(text.encode("utf-8") if isinstance(text, str) else text)
+    (tmp_path / "frame.csv.n.json").write_text(json.dumps(sizes))
+    return str(path)
+
+
+def expected_design():
+    """The design of GOOD_ROWS built from arrays, bypassing the CSV reader."""
+    columns = {1: ([1.0, 3.0, 2.0], [2.0, 6.5, 4.25]), 2: ([5.0, 7.0], [1.0, 3.0])}
+    data = sm.Microdata(
+        [sm.MicrodataStratum(k, np.array(y), np.array(x)) for k, (y, x) in columns.items()],
+        label="frame",
+    )
+    return sm.design_from_microdata(data, {1: 2, 2: 1})
+
+
+class TestMicrodataCsv:
+    BAD_LINES = {
+        "2 fields": "1,2.0",
+        "4 fields": "1,2.0,3.0,4.0",
+        "empty field": "1,,3.0",
+        "non-numeric": "1,abc,3.0",
+        "underscore in y": "1,1_000,3.0",
+        "underscore in x": "1,2.0,1_000",
+        "label 1_0": "1_0,2.0,3.0",
+        "label 1.0": "1.0,2.0,3.0",
+        "whitespace-only line": "   ",
+        "non-ASCII digit": "1,٣,3.0",
+        "label beyond int64": "9223372036854775808,2.0,3.0",
+        "not UTF-8": b"1,\xff,3.0",
+    }
+
+    @pytest.mark.parametrize("at", [0, 3, 5])
+    @pytest.mark.parametrize("case", list(BAD_LINES))
+    def test_bad_line_is_named(self, capsys, tmp_path, case, at):
+        bad = self.BAD_LINES[case]
+        rows = [r.encode() for r in GOOD_ROWS]
+        rows.insert(at, bad if isinstance(bad, bytes) else bad.encode())
+        path = write_frame(tmp_path, b"\n".join([b"stratum,y,x", *rows]) + b"\n")
+        code, out, err = run_cli(capsys, "moments", "--data", path, "--format", "microdata-csv")
+        assert code == 3 and out == ""
+        assert err.startswith(f"error:parse: {path}: line {at + 2}: ")
+        assert err.count("\n") == 1
+
+    def test_header_only_file(self, capsys, tmp_path):
+        path = write_frame(tmp_path, "stratum,y,x\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run_cli(capsys, "moments", "--data", path, "--format", "microdata-csv")
+        assert code == 3 and err == f"error:parse: {path}: no data rows\n"
+        assert caught == []
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e999"])
+    def test_non_finite_cell_is_degenerate(self, capsys, tmp_path, cell):
+        path = write_frame(tmp_path, "\n".join(["stratum,y,x", *GOOD_ROWS, f"2,{cell},1.0"]))
+        code, _, err = run_cli(capsys, "moments", "--data", path, "--format", "microdata-csv")
+        assert code == 3 and err.startswith("error:degenerate-stratum: stratum 2: non-finite")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "stratum,y,x\n" + "\n".join(GOOD_ROWS) + "\n",
+            '"stratum","y","x"\n' + "\n".join(
+                ",".join(f'"{c}"' for c in r.split(",")) for r in GOOD_ROWS
+            ) + "\n",
+            "stratum,y,x\r\n" + "\r\n".join(GOOD_ROWS) + "\r\n",
+            "stratum,y,x\n\n" + "\n\n".join(GOOD_ROWS) + "\n\n",
+            "stratum,y,x\n" + "\n".join(GOOD_ROWS),
+            "stratum , y , x\n" + "\n".join(f" {r.replace(',', ' , ')}\t" for r in GOOD_ROWS),
+        ],
+        ids=["plain", "quoted", "crlf", "blank-lines", "no-final-newline", "spaces"],
+    )
+    def test_accepted_syntax_gives_same_design(self, tmp_path, text):
+        assert ingest(write_frame(tmp_path, text), "microdata-csv") == expected_design()
+
+    def test_scan_runs_only_on_a_rejected_file(self, tmp_path, monkeypatch):
+        calls = []
+
+        def scan(path, reason):
+            calls.append(path)
+            raise ParseError("scanned")
+
+        monkeypatch.setattr(cli, "_raise_bad_line", scan)
+        path = write_frame(tmp_path, "stratum,y,x\n" + "\n".join(GOOD_ROWS) + "\n")
+        ingest(path, "microdata-csv")
+        assert calls == []
+        write_frame(tmp_path, "stratum,y,x\n1,x,2\n")
+        with pytest.raises(ParseError, match="scanned"):
+            ingest(path, "microdata-csv")
+        assert calls == [path]
+
+    def test_scan_only_raises(self, tmp_path):
+        # on a file with no bad line the scan reports loadtxt's reason
+        path = write_frame(tmp_path, "stratum,y,x\n" + "\n".join(GOOD_ROWS) + "\n")
+        with pytest.raises(ParseError) as err:
+            cli._raise_bad_line(path, ValueError("reason from loadtxt"))
+        assert str(err.value) == f"{path}: reason from loadtxt"
+
+    @pytest.mark.parametrize(
+        "cells",
+        [(label, "2", "3") for label in (
+            "1", " 1 ", "+1", "-1", "01", '"1"', "1.0", "1e0", "1_0", "0x1", "",
+            "١", "9223372036854775807", "9223372036854775808",
+            "-9223372036854775808", "-9223372036854775809",
+        )]
+        + [("1", value, "3") for value in (
+            "2", "2.", ".5", ".", "-.5e-3", "1E+5", "1e", "e5", "nan", "-NaN", "inf",
+            "+Infinity", "infinit", "1e999", "1_000", "", " ", "\xa02\xa0", '"2"',
+            '" 2 "', '""', "2 3", "0x10", "1d5", "٣", "+-1", "1..2",
+        )],
+    )
+    def test_scan_agrees_with_loadtxt(self, cells):
+        """The scan rejects exactly the rows loadtxt rejects, so it names the
+        line loadtxt stopped at."""
+        line = ",".join(cells) + "\n"
+        try:
+            np.loadtxt(io.StringIO(line), dtype=cli._CSV_ROW, delimiter=",",
+                       comments=None, quotechar='"', ndmin=1)
+            loadtxt_accepts = True
+        except ValueError:
+            loadtxt_accepts = False
+        row = next(csv.reader(io.StringIO(line)))
+        assert (cli._row_problem(row) is None) == loadtxt_accepts
+
+    def test_sidecar_label_without_rows(self, capsys, tmp_path):
+        path = write_frame(
+            tmp_path, "stratum,y,x\n" + "\n".join(GOOD_ROWS) + "\n", {"1": 2, "2": 1, "9": 1}
+        )
+        code, out, err = run_cli(capsys, "moments", "--data", path, "--format", "microdata-csv")
+        assert code == 3 and out == ""
+        assert err == "error:degenerate-stratum: stratum 9: sample size given, but no units\n"
 
 
 class TestCommands:
@@ -390,6 +541,28 @@ class TestExitCodes:
         assert code == 4 and out == ""
         assert err.startswith("error:computation: OverflowError")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "flags",
+        [("--data", "paper-1"), ("--format", "summary-json"), ("--estimators", "t1"),
+         ("--optimal",), ("--w", "0"), ("--p", "1"), ("--a", "1"), ("--b", "0"),
+         ("--k1", "1"), ("--k2", "0"), ("--w", "5", "--estimators", "t1")],
+    )
+    def test_paper_layout_rejects_ignored_flags(self, capsys, flags):
+        code, out, err = run_cli(capsys, "table", "--paper-layout", *flags)
+        assert code == 2 and out == ""
+        assert err.startswith("error:usage: --paper-layout fixes the data and estimators")
+        assert all(f in err for f in flags if f.startswith("--"))
+        assert err.count("\n") == 1
+
+    def test_paper_layout_keeps_output_flags(self, capsys, tmp_path):
+        target = tmp_path / "layout.csv"
+        code, out, _ = run_cli(
+            capsys, "table", "--paper-layout", "--output-format", "csv",
+            "--full-precision", "--out", str(target),
+        )
+        assert code == 0 and out == ""
+        assert target.read_text().startswith("estimator,mse_data1,")
 
     def test_error_lines_are_single_line(self, capsys):
         code, _, err = run_cli(capsys, "moments", "--data", "paper-9")

@@ -14,6 +14,7 @@ from stratmean.errors import (
     DegenerateStratum,
     NonPositiveCount,
     SampleExceedsStratum,
+    ValidationError,
     WeightSumViolation,
     ZeroAuxiliaryMean,
     ZeroMse,
@@ -216,6 +217,22 @@ def test_microdata_roundtrip_bit_for_bit():
     a = sm.aggregate_moments(via_micro)
     b = sm.aggregate_moments(via_summaries)
     assert a == b  # identical floats, not just close
+
+
+@pytest.mark.parametrize(
+    "sizes, error, message",
+    [({1: 2, 2: 1, 9: 1}, DegenerateStratum, "stratum 9: sample size given, but no units"),
+     ({1: 2, 7: 1, 2: 1, 9: 1}, DegenerateStratum, "stratum 7, 9: sample size given"),
+     ((2, 1, 1), ValidationError, "expected 2 sample sizes, got 3"),
+     ((2,), ValidationError, "expected 2 sample sizes, got 1")],
+)
+def test_design_from_microdata_sizes_match_strata(sizes, error, message):
+    data = sm.Microdata((
+        sm.MicrodataStratum(1, np.array([1.0, 2.0, 4.0]), np.array([2.0, 3.0, 3.5])),
+        sm.MicrodataStratum(2, np.array([5.0, 7.0]), np.array([1.0, 3.0])),
+    ))
+    with pytest.raises(error, match=message):
+        sm.design_from_microdata(data, sizes)
 
 
 def test_relative_sd_helpers(ds1):

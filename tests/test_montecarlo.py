@@ -120,6 +120,13 @@ class TestDraw:
                 sm.enumeration_count(pop1, bad)
         assert sm.enumeration_count(pop1, (3.0, 4, 3)) == sm.enumeration_count(pop1, (3, 4, 3))
 
+    def test_wrong_count_of_sample_sizes(self, pop1):
+        # a missing size is a plain validation error: no size exceeds its stratum
+        for call in (sm.enumeration_count, sm.draw_stratified_srswor):
+            with pytest.raises(ValidationError, match="expected 3 sample sizes, got 2") as err:
+                call(pop1, (3, 4))
+            assert err.value.code == "validation"
+
     def test_mean_deviations_center_on_zero(self, ds1, pop1):
         """e0 and e1 average to ~0 over replications (3 MC SE band)."""
         d = pop1.design(ds1.sample_sizes)
