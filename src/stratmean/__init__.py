@@ -45,7 +45,6 @@ from .mse import (
 from .montecarlo import (
     EmpiricalReport,
     EstimatorOutcome,
-    FinitePopulation,
     draw_stratified_srswor,
     enumerate_exact_moments,
     enumeration_count,
@@ -64,7 +63,6 @@ __all__ = [
     "EstimatorKind",
     "EstimatorOutcome",
     "EstimatorSpec",
-    "FinitePopulation",
     "Microdata",
     "MicrodataStratum",
     "MseResult",

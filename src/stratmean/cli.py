@@ -18,7 +18,8 @@ them.  ``mse``, ``optimize`` and ``table`` share one handler.
 
 Datasets are either embedded ids (``paper-1``, ``paper-2``) or files:
 ``summary-json`` (top-level ``{label?, known_mean_x?, strata: [...]}`` with
-per-stratum ``{N, n, mean_y, mean_x, var_y, var_x, cov_xy | rho}``) or
+per-stratum ``{index?, N, n, mean_y, mean_x, var_y, var_x, cov_xy | rho}``;
+any other key is rejected) or
 ``microdata-csv`` (header ``stratum,y,x``; per-stratum sample sizes in a
 ``<file>.n.json`` sidecar mapping stratum label to n).  The data rows of a
 CSV are read by one ``numpy.loadtxt`` call, which alone decides whether the
@@ -38,7 +39,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import re
 import sys
 import warnings
@@ -48,17 +48,20 @@ from typing import NoReturn
 import numpy as np
 
 from . import montecarlo
-from .datasets import get_dataset
+from .datasets import EMBEDDED, get_dataset
 from .design import (
     DesignSummary,
     Microdata,
     MicrodataStratum,
     aggregate_moments,
+    as_count,
     design_from_microdata,
     validate_design,
     StratumSummary,
 )
-from .errors import ParseError, SchemaError, StratmeanError, UsageError
+from .errors import (
+    ParseError, SchemaError, StratmeanError, UnknownDataset, UsageError, ValidationError
+)
 from .estimators import (
     KIND_BY_NAME,
     EstimatorKind,
@@ -74,18 +77,26 @@ from .mse import analyze, default_table_specs, efficiency_table, resolve_spec
 
 
 def _finite(value) -> float:
-    """A JSON number as a float; NaN, infinities and overflow are rejected."""
-    out = float(value)
-    if not math.isfinite(out):
-        raise ValueError(f"expected a finite number, got {value!r}")
-    return out
+    """A JSON number as a float; strings, booleans, NaN, infinities and
+    overflow (a float literal such as 1e999 or an integer beyond 2**1024)
+    are rejected."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        if abs(value) <= sys.float_info.max:  # exact for ints; false for NaN
+            return float(value)
+    raise ValueError(f"expected a finite number, got {value!r}")
 
 
 def _count(value) -> int:
-    """A JSON count as an int; booleans and fractional values are rejected."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"expected an integer count, got {value!r}")
-    return int(value)
+    """A JSON count as an int, by the design's count rule (``as_count``)."""
+    try:
+        return as_count(value, "count")
+    except ValidationError:
+        raise ValueError(f"expected an integer count, got {value!r}") from None
+
+
+#: The keys a summary-json document may hold, at the top level and per stratum.
+_DOC_KEYS = {"label", "known_mean_x", "strata"}
+_STRATUM_KEYS = {"index", "N", "n", "mean_y", "mean_x", "var_y", "var_x", "cov_xy", "rho"}
 
 
 def _summary_from_json(path: str) -> DesignSummary:
@@ -96,18 +107,20 @@ def _summary_from_json(path: str) -> DesignSummary:
         raise ParseError(f"{path}: file not found") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from None
-    if not isinstance(payload, dict) or "strata" not in payload:
-        raise SchemaError(f"{path}: top level must be an object with 'strata'")
+    if not isinstance(payload, dict) or not isinstance(payload.get("strata"), list):
+        raise SchemaError(f"{path}: top level must be an object with a 'strata' list")
+    unknown = sorted(payload.keys() - _DOC_KEYS)
+    if unknown:
+        raise SchemaError(f"{path}: top level: unknown field {', '.join(unknown)}")
     strata = []
     for pos, row in enumerate(payload["strata"], start=1):
         if not isinstance(row, dict):
             raise SchemaError(f"{path}: stratum {pos} is not an object")
-        has_cov = "cov_xy" in row
-        has_rho = "rho" in row
-        if has_cov == has_rho:
-            raise SchemaError(
-                f"{path}: stratum {pos} needs exactly one of cov_xy or rho"
-            )
+        unknown = sorted(row.keys() - _STRATUM_KEYS)
+        if unknown:
+            raise SchemaError(f"{path}: stratum {pos}: unknown field {', '.join(unknown)}")
+        if ("cov_xy" in row) == ("rho" in row):
+            raise SchemaError(f"{path}: stratum {pos} needs exactly one of cov_xy or rho")
         try:
             common = dict(
                 index=_count(row.get("index", pos)),
@@ -118,7 +131,7 @@ def _summary_from_json(path: str) -> DesignSummary:
                 var_y=_finite(row["var_y"]),
                 var_x=_finite(row["var_x"]),
             )
-            if has_rho:
+            if "rho" in row:
                 stratum = StratumSummary.from_correlation(
                     rho=_finite(row["rho"]), **common
                 )
@@ -251,9 +264,6 @@ def ingest(source: str, fmt: str | None = None) -> DesignSummary:
 
     ``fmt`` is ``summary-json`` (the default) or ``microdata-csv``.
     """
-    from .datasets import EMBEDDED
-    from .errors import UnknownDataset
-
     if source in EMBEDDED:
         return get_dataset(source)
     if not Path(source).exists():

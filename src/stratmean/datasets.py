@@ -23,23 +23,14 @@ ORCHARD_RATIO = 49.03
 
 
 def dataset_1() -> DesignSummary:
-    strata = (
-        StratumSummary.from_correlation(
-            1, N=6, n=3, mean_y=135.0, mean_x=366.666, var_y=80.0, var_x=2706.666,
-            rho=0.9455626,
-        ),
-        StratumSummary.from_correlation(
-            2, N=12, n=4, mean_y=99.166, mean_x=310.883, var_y=226.515, var_x=1881.06,
-            rho=0.948196,
-        ),
-        StratumSummary.from_correlation(
-            3, N=7, n=3, mean_y=80.714, mean_x=317.143, var_y=120.238, var_x=2890.476,
-            rho=0.7523324,
-        ),
+    rows = (
+        # index, N, n, mean_y, mean_x, var_y, var_x, rho
+        (1, 6, 3, 135.0, 366.666, 80.0, 2706.666, 0.9455626),
+        (2, 12, 4, 99.166, 310.883, 226.515, 1881.06, 0.948196),
+        (3, 7, 3, 80.714, 317.143, 120.238, 2890.476, 0.7523324),
     )
-    return validate_design(
-        DesignSummary(strata, known_mean_x=326.0, label="paper-1")
-    )
+    strata = tuple(StratumSummary.from_correlation(*row) for row in rows)
+    return validate_design(DesignSummary(strata, known_mean_x=326.0, label="paper-1"))
 
 
 def dataset_2() -> DesignSummary:

@@ -11,13 +11,13 @@ under stratified SRSWOR are
     cov_xybar = sum_h  W_h^2 gamma_h cov_xy_h
 
 with stratum weight ``W_h = N_h / N`` and finite-population factor
-``gamma_h = 1/n_h - 1/N_h``.  All types are immutable and safe to share
-across threads.
+``gamma_h = 1/n_h - 1/N_h``, both derived from the counts, which
+``as_count`` checks.  A population is a ``Microdata``.  All types are
+immutable and safe to share across threads.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -30,12 +30,29 @@ from .errors import (
     NonPositiveCount,
     SampleExceedsStratum,
     ValidationError,
-    WeightSumViolation,
     ZeroAuxiliaryMean,
 )
 
-WEIGHT_SUM_TOL = 1e-12
 CORRELATION_TOL = 1e-9
+
+
+def as_count(value, what: str) -> int:
+    """``value`` as an int, if it is a count: an integer or an integral float.
+
+    Booleans, strings, NaN, infinities and fractions raise ValidationError
+    ``"<what> <value> is not an integer"``.
+    """
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise ValidationError(f"{what} {value!r} is not an integer")
+
+
+def _weights(strata) -> tuple[float, ...]:
+    """Stratum weights W_h = N_h / N."""
+    N = sum(s.N for s in strata)
+    return tuple(s.N / N for s in strata)
 
 
 @dataclass(frozen=True)
@@ -50,7 +67,6 @@ class StratumSummary:
     var_y: float
     var_x: float
     cov_xy: float
-    weight: float | None = None  # N_h / N, populated by validate_design
 
     @classmethod
     def from_correlation(
@@ -95,11 +111,13 @@ class StratumSummary:
 
     def check(self) -> None:
         """Raise if any stratum invariant is violated."""
-        if self.N <= 0 or self.n <= 0:
+        N = as_count(self.N, f"stratum {self.index}: N")
+        n = as_count(self.n, f"stratum {self.index}: n")
+        if N <= 0 or n <= 0:
             raise NonPositiveCount(
                 f"stratum {self.index}: N={self.N}, n={self.n} must be positive"
             )
-        if self.n > self.N:
+        if n > N:
             raise SampleExceedsStratum(
                 f"stratum {self.index}: sample size {self.n} exceeds population {self.N}"
             )
@@ -142,8 +160,7 @@ class DesignSummary:
 
     @property
     def weights(self) -> tuple[float, ...]:
-        N = self.N
-        return tuple(s.weight if s.weight is not None else s.N / N for s in self.strata)
+        return _weights(self.strata)
 
 
 @dataclass(frozen=True)
@@ -195,13 +212,58 @@ class Microdata:
     def __post_init__(self) -> None:
         object.__setattr__(self, "strata", tuple(self.strata))
 
+    @property
+    def weights(self) -> tuple[float, ...]:
+        return _weights(self.strata)
+
+
+def checked_sample_sizes(
+    data: Microdata, sample_sizes: Mapping[int, int] | Sequence[int]
+) -> tuple[int, ...]:
+    """The sample size of every stratum of ``data``, in stratum order.
+
+    ``sample_sizes`` maps stratum index to n_h, or gives the n_h in stratum
+    order.  A size for a stratum that ``data`` does not hold is rejected,
+    so a mistyped label cannot pass unnoticed; so are a missing size, a
+    size that is not a count (``as_count``), n_h < 1 and n_h > N_h.
+    """
+    if isinstance(sample_sizes, Mapping):
+        held = {s.index for s in data.strata}
+        unheld = [str(index) for index in sample_sizes if index not in held]
+        if unheld:
+            raise DegenerateStratum(
+                f"stratum {', '.join(unheld)}: sample size given, but no units"
+            )
+        missing = [s.index for s in data.strata if s.index not in sample_sizes]
+        if missing:
+            raise DegenerateStratum(f"stratum {missing[0]}: no sample size given")
+        sizes = tuple(sample_sizes[s.index] for s in data.strata)
+    else:
+        sizes = tuple(sample_sizes)
+        if len(sizes) != len(data.strata):
+            raise ValidationError(
+                f"expected {len(data.strata)} sample sizes, got {len(sizes)}"
+            )
+    out = []
+    for s, size in zip(data.strata, sizes):
+        n = as_count(size, f"stratum {s.index}: sample size")
+        if n <= 0:
+            raise NonPositiveCount(f"stratum {s.index}: n={n} must be positive")
+        if n > s.N:
+            raise SampleExceedsStratum(
+                f"stratum {s.index}: sample size {n} exceeds population {s.N}"
+            )
+        out.append(n)
+    return tuple(out)
+
 
 def validate_design(design: DesignSummary) -> DesignSummary:
-    """Check all invariants and return the design with derived weights set.
+    """Check all invariants and return the design with its strata in order.
 
     Strata are reordered ascending by index so downstream summations are
-    reproducible.  Raises NonPositiveCount, SampleExceedsStratum,
-    CorrelationOutOfRange, or WeightSumViolation.
+    reproducible.  Raises ValidationError (a count that is not an integer,
+    or a bad stratum index), NonPositiveCount, SampleExceedsStratum or
+    CorrelationOutOfRange.
     """
     if not design.strata:
         raise NonPositiveCount("design has no strata")
@@ -213,35 +275,20 @@ def validate_design(design: DesignSummary) -> DesignSummary:
         raise ValidationError(f"stratum indexes must be positive: {indexes}")
     for s in strata:
         s.check()
-    N = sum(s.N for s in strata)
-    filled = tuple(
-        s if s.weight is not None else dataclasses.replace(s, weight=s.N / N)
-        for s in strata
-    )
-    total = 0.0
-    for s in filled:
-        total += s.weight  # type: ignore[operator]
-    if abs(total - 1.0) > WEIGHT_SUM_TOL:
-        raise WeightSumViolation(f"stratum weights sum to {total!r}, not 1")
-    return dataclasses.replace(design, strata=filled)
+    return DesignSummary(strata, known_mean_x=design.known_mean_x, label=design.label)
 
 
 def summarize_stratum(stratum: MicrodataStratum, n: int) -> StratumSummary:
     """Compute a StratumSummary from the raw values of one stratum.
 
     Means are arithmetic means; variances and the covariance use divisor
-    N - 1.  ``n`` is the planned sample size for the stratum.
+    N - 1.  ``n`` is the planned sample size for the stratum; it is checked
+    with the rest of the design by ``validate_design``.
     """
     N = stratum.N
     if N < 2:
         raise DegenerateStratum(
             f"stratum {stratum.index}: needs at least 2 units, got {N}"
-        )
-    if n <= 0:
-        raise NonPositiveCount(f"stratum {stratum.index}: n={n} must be positive")
-    if n > N:
-        raise SampleExceedsStratum(
-            f"stratum {stratum.index}: sample size {n} exceeds population {N}"
         )
     mean_y = float(stratum.y.mean())
     mean_x = float(stratum.x.mean())
@@ -254,43 +301,15 @@ def summarize_stratum(stratum: MicrodataStratum, n: int) -> StratumSummary:
 
 
 def design_from_microdata(
-    data: Microdata,
-    sample_sizes: Mapping[int, int] | Sequence[int],
-    known_mean_x: float | None = None,
-    label: str = "",
+    data: Microdata, sample_sizes: Mapping[int, int] | Sequence[int]
 ) -> DesignSummary:
     """Summarize every stratum of ``data`` and assemble a validated design.
 
-    ``sample_sizes`` maps stratum index to n_h, or gives the n_h in stratum
-    order.  A size for a stratum that ``data`` does not hold is rejected,
-    so a mistyped label cannot pass unnoticed.
+    ``sample_sizes`` is read by ``checked_sample_sizes``.
     """
-    if isinstance(sample_sizes, Mapping):
-        lookup = dict(sample_sizes)
-        held = {s.index for s in data.strata}
-        unheld = [str(index) for index in lookup if index not in held]
-        if unheld:
-            raise DegenerateStratum(
-                f"stratum {', '.join(unheld)}: sample size given, but no units"
-            )
-    else:
-        if len(sample_sizes) != len(data.strata):
-            raise ValidationError(
-                f"expected {len(data.strata)} sample sizes, got {len(sample_sizes)}"
-            )
-        lookup = {s.index: n for s, n in zip(data.strata, sample_sizes)}
-    summaries = []
-    for stratum in data.strata:
-        try:
-            n = lookup[stratum.index]
-        except KeyError:
-            raise DegenerateStratum(
-                f"stratum {stratum.index}: no sample size given"
-            ) from None
-        summaries.append(summarize_stratum(stratum, n))
-    return validate_design(
-        DesignSummary(tuple(summaries), known_mean_x=known_mean_x, label=label or data.label)
-    )
+    n = checked_sample_sizes(data, sample_sizes)
+    summaries = tuple(summarize_stratum(s, nh) for s, nh in zip(data.strata, n))
+    return validate_design(DesignSummary(summaries, label=data.label))
 
 
 def aggregate_moments(design: DesignSummary) -> CombinedMoments:
@@ -306,11 +325,10 @@ def aggregate_moments(design: DesignSummary) -> CombinedMoments:
     var_ybar = 0.0
     var_xbar = 0.0
     cov_xybar = 0.0
-    for s in design.strata:
-        w = s.weight
-        wwg = w * w * s.gamma  # type: ignore[operator]
-        mean_y += w * s.mean_y  # type: ignore[operator]
-        mean_x_agg += w * s.mean_x  # type: ignore[operator]
+    for s, w in zip(design.strata, design.weights):
+        wwg = w * w * s.gamma
+        mean_y += w * s.mean_y
+        mean_x_agg += w * s.mean_x
         var_ybar += wwg * s.var_y
         var_xbar += wwg * s.var_x
         cov_xybar += wwg * s.cov_xy

@@ -3,6 +3,8 @@
 Every error carries a short machine-readable ``code`` (the CLI prints a
 single ``error:<code>: message`` line) and an ``exit_code``: 2 for usage
 mistakes, 3 for data or validation problems, 4 for computation problems.
+A count (N, n, a sample size) that is not an integer raises the plain
+``ValidationError``.  Stratum weights are always N_h / N, so none can fail.
 """
 
 
@@ -33,10 +35,6 @@ class NonPositiveCount(ValidationError):
 
 class SampleExceedsStratum(ValidationError):
     code = "sample-exceeds-stratum"
-
-
-class WeightSumViolation(ValidationError):
-    code = "weight-sum-violation"
 
 
 class CorrelationOutOfRange(ValidationError):

@@ -6,6 +6,9 @@ bias/MSE of every estimator against the first-order formulas.  Exhaustive
 enumeration of all samples is available where the combination count is
 feasible, giving exact design moments instead of simulated ones.
 
+A population is a ``design.Microdata``: every function here takes one, and
+checks its sample sizes with ``design.checked_sample_sizes``.
+
 Reproducibility: the random stream is split deterministically over fixed
 replication blocks, so a report depends only on (population, sample sizes,
 specs, reps, seed) and never on the worker count or schedule.
@@ -23,22 +26,18 @@ import numpy as np
 
 from . import mse as mse_mod
 from .design import (
+    CORRELATION_TOL,
     CombinedMoments,
     DesignSummary,
     Microdata,
     MicrodataStratum,
     StratumSummary,
     aggregate_moments,
+    checked_sample_sizes,
     design_from_microdata,
     validate_design,
 )
-from .errors import (
-    DegenerateStratum,
-    InfeasibleMoments,
-    NonPositiveCount,
-    SampleExceedsStratum,
-    ValidationError,
-)
+from .errors import DegenerateStratum, InfeasibleMoments
 from .estimators import EstimatorSpec, SampleStats, estimate_many
 
 #: Replication block size; part of the random-stream definition.
@@ -52,33 +51,6 @@ AGREEMENT_POLICY = (
 )
 
 MIN_REPS_FOR_VERDICT = 1000
-
-
-@dataclass(frozen=True)
-class FinitePopulation:
-    """A fully enumerated stratified population with its provenance."""
-
-    strata: tuple[MicrodataStratum, ...]
-    seed: int | None = None
-    label: str = ""
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "strata", tuple(self.strata))
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(s.N for s in self.strata)
-
-    @property
-    def weights(self) -> tuple[float, ...]:
-        N = sum(self.sizes)
-        return tuple(s.N / N for s in self.strata)
-
-    def design(self, sample_sizes: Sequence[int]) -> DesignSummary:
-        """Summarize the population for the given per-stratum sample sizes."""
-        return design_from_microdata(
-            Microdata(self.strata, label=self.label), tuple(sample_sizes), label=self.label
-        )
 
 
 @dataclass(frozen=True)
@@ -165,7 +137,7 @@ def _match_bivariate(rng: np.random.Generator, s: StratumSummary) -> tuple[np.nd
 
 def synthesize_population(
     targets: DesignSummary, seed: int | None = None
-) -> FinitePopulation:
+) -> Microdata:
     """Generate a population matching every stratum summary exactly.
 
     Bivariate normal draws are affinely transformed so that each stratum's
@@ -178,7 +150,7 @@ def synthesize_population(
                 f"stratum {s.index}: population of {s.N} cannot match 5 moments"
             )
         bound = s.var_x * s.var_y
-        if s.cov_xy**2 > bound * (1.0 + 1e-9) + 1e-18:
+        if s.cov_xy**2 > bound * (1.0 + CORRELATION_TOL) + CORRELATION_TOL**2:
             raise InfeasibleMoments(
                 f"stratum {s.index}: |rho| = {abs(s.rho):.6g} exceeds 1"
             )
@@ -188,33 +160,16 @@ def synthesize_population(
     for s in targets.strata:
         y, x = _match_bivariate(rng, s)
         strata.append(MicrodataStratum(s.index, y, x))
-    return FinitePopulation(tuple(strata), seed=seed, label=targets.label)
-
-
-def _check_sample_sizes(pop: FinitePopulation, sample_sizes: Sequence[int]) -> tuple[int, ...]:
-    for v in sample_sizes:  # int() would truncate 2.7 and read True as 1
-        if isinstance(v, (bool, np.bool_)) or v != int(v):
-            raise ValidationError(f"sample size {v!r} is not an integer")
-    n = tuple(int(v) for v in sample_sizes)
-    if len(n) != len(pop.strata):
-        raise ValidationError(f"expected {len(pop.strata)} sample sizes, got {len(n)}")
-    for s, nh in zip(pop.strata, n):
-        if nh <= 0:
-            raise NonPositiveCount(f"stratum {s.index}: n={nh} must be positive")
-        if nh > s.N:
-            raise SampleExceedsStratum(
-                f"stratum {s.index}: sample size {nh} exceeds population {s.N}"
-            )
-    return n
+    return Microdata(tuple(strata), label=targets.label)
 
 
 def draw_stratified_srswor(
-    pop: FinitePopulation,
+    pop: Microdata,
     sample_sizes: Sequence[int],
     seed: int | np.random.Generator | None = None,
 ) -> SampleStats:
     """One stratified SRSWOR draw; returns its combined sample means."""
-    n = _check_sample_sizes(pop, sample_sizes)
+    n = checked_sample_sizes(pop, sample_sizes)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     yb, xb = _draw_block(rng, pop, n, pop.weights, 1)
     return SampleStats(float(yb[0]), float(xb[0]))
@@ -237,7 +192,7 @@ def _floyd_picks(rng: np.random.Generator, N: int, m: int, count: int) -> np.nda
 
 def _draw_block(
     rng: np.random.Generator,
-    pop: FinitePopulation,
+    pop: Microdata,
     n: tuple[int, ...],
     weights: tuple[float, ...],
     count: int,
@@ -293,7 +248,7 @@ def _merge_moments(
 
 
 def replicate(
-    pop: FinitePopulation,
+    pop: Microdata,
     sample_sizes: Sequence[int],
     specs: Sequence[EstimatorSpec],
     reps: int,
@@ -311,9 +266,8 @@ def replicate(
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
-    n = _check_sample_sizes(pop, sample_sizes)
-    design = pop.design(n)
-    m = aggregate_moments(design)
+    n = checked_sample_sizes(pop, sample_sizes)
+    m = aggregate_moments(design_from_microdata(pop, n))
     weights = pop.weights
 
     resolved = [mse_mod.resolve_spec(spec, m) for spec in specs]
@@ -411,9 +365,9 @@ def _combination_means(values: np.ndarray, nh: int) -> np.ndarray:
     return values[idx].mean(axis=1)
 
 
-def enumeration_count(pop: FinitePopulation, sample_sizes: Sequence[int]) -> int:
+def enumeration_count(pop: Microdata, sample_sizes: Sequence[int]) -> int:
     """Number of distinct stratified samples for the given sizes."""
-    n = _check_sample_sizes(pop, sample_sizes)
+    n = checked_sample_sizes(pop, sample_sizes)
     total = 1
     for s, nh in zip(pop.strata, n):
         total *= math.comb(s.N, nh)
@@ -421,7 +375,7 @@ def enumeration_count(pop: FinitePopulation, sample_sizes: Sequence[int]) -> int
 
 
 def enumerate_exact_moments(
-    pop: FinitePopulation,
+    pop: Microdata,
     sample_sizes: Sequence[int],
     limit: int = 10_000_000,
 ) -> CombinedMoments:
@@ -433,7 +387,7 @@ def enumerate_exact_moments(
     likely).  Raises ValueError when the combination count exceeds
     ``limit``; fall back to seeded replication in that case.
     """
-    n = _check_sample_sizes(pop, sample_sizes)
+    n = checked_sample_sizes(pop, sample_sizes)
     total = enumeration_count(pop, n)
     if total > limit:
         raise ValueError(

@@ -155,7 +155,7 @@ def test_c06_reconciliation_report_nongating(ds1, ds2):
 def test_c07_exact_finite_population_identity(ds1):
     pop = sm.synthesize_population(ds1, seed=SEED)
     exact = sm.enumerate_exact_moments(pop, ds1.sample_sizes)
-    formula = sm.aggregate_moments(pop.design(ds1.sample_sizes)).var_ybar
+    formula = sm.aggregate_moments(sm.design_from_microdata(pop, ds1.sample_sizes)).var_ybar
     rel = _rel(exact.var_ybar, formula)
     count = sm.enumeration_count(pop, ds1.sample_sizes)
     _report(
@@ -190,7 +190,7 @@ def test_c08_formula_vs_simulation(ds1):
                 f"theory {row.theoretical_mse:.5f} outside {band:.5f}"
             )
     t1_row = next(r for r in report.rows if r.label == "t1")
-    m = sm.aggregate_moments(pop.design(ds1.sample_sizes))
+    m = sm.aggregate_moments(sm.design_from_microdata(pop, ds1.sample_sizes))
     bias_band = max(3.0 * t1_row.se_bias, 0.10 * math.sqrt(m.var_ybar / reps))
     if abs(t1_row.empirical_bias - t1_row.theoretical_bias) > bias_band:
         failures.append(

@@ -84,7 +84,11 @@ class TestIngest:
             ingest(str(path), "summary-json")
         assert "line" in str(err.value)
 
-    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+    @pytest.mark.parametrize(
+        "literal",
+        ["NaN", "Infinity", "-Infinity", "1e999", '"99.1"', '" 310.8 "', "true",
+         pytest.param("1" + "0" * 400, id="10**400")],
+    )
     @pytest.mark.parametrize(
         "field", ["mean_y", "mean_x", "var_y", "var_x", "rho", "known_mean_x"]
     )
@@ -100,7 +104,7 @@ class TestIngest:
         assert err.startswith("error:parse:") and f"{where}: expected a finite number" in err
 
     @pytest.mark.parametrize("field", ["N", "n"])
-    @pytest.mark.parametrize("value", [12.9, 3.5, True, "4.2"])
+    @pytest.mark.parametrize("value", [12.9, 3.5, True, "4.2", "1_2", "4"])
     def test_summary_json_non_integral_count_rejected(self, tmp_path, field, value):
         doc = json.loads(json.dumps(SUMMARY_DOC))
         doc["strata"][1][field] = value
@@ -108,6 +112,24 @@ class TestIngest:
         path.write_text(json.dumps(doc))
         with pytest.raises(ParseError):
             ingest(str(path), "summary-json")
+
+    @pytest.mark.parametrize("text", ['{"strata": 5}', '{"strata": null}', "[]"])
+    def test_summary_json_strata_not_a_list(self, capsys, tmp_path, text):
+        path = tmp_path / "d.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "moments", "--data", str(path))
+        assert (code, out) == (3, "")
+        assert err.startswith("error:schema:") and "with a 'strata' list" in err
+
+    @pytest.mark.parametrize("key, where", [("known_mean", "top level"), ("weight", "stratum 2")])
+    def test_summary_json_unknown_key_rejected(self, capsys, tmp_path, key, where):
+        doc = json.loads(json.dumps(SUMMARY_DOC))
+        (doc if where == "top level" else doc["strata"][1])[key] = 5
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "moments", "--data", str(path))
+        assert code == 3 and out == ""
+        assert err.startswith("error:schema:") and f"{where}: unknown field {key}" in err
 
     def test_summary_json_integral_float_count_accepted(self, tmp_path):
         doc = json.loads(json.dumps(SUMMARY_DOC))
@@ -150,7 +172,7 @@ class TestIngest:
             ingest(path, "microdata-csv")
         assert "line 3" in str(err.value)
 
-    @pytest.mark.parametrize("size", [1.5, True])
+    @pytest.mark.parametrize("size", [1.5, True, "2"])
     def test_microdata_sidecar_non_integral_size(self, tmp_path, size):
         rows = [(1, 1.0, 2.0), (1, 3.0, 6.0), (1, 2.0, 4.0)]
         path = self.write_microdata(tmp_path, rows, {"1": size})
@@ -221,6 +243,17 @@ class TestMicrodataCsv:
         assert code == 3 and out == ""
         assert err.startswith(f"error:parse: {path}: line {at + 2}: ")
         assert err.count("\n") == 1
+
+    def test_many_strata_accepted(self, capsys, tmp_path):
+        """40,000 two-unit strata: the weights are N_h/N, with no sum to violate."""
+        labels = range(1, 40_001)
+        text = "stratum,y,x\n" + "".join(
+            f"{h},{h % 5}.5,{h % 7}\n{h},{h % 3},{h % 2 + 9}\n" for h in labels
+        )
+        path = write_frame(tmp_path, text, {str(h): 1 for h in labels})
+        code, out, err = run_cli(capsys, "moments", "--data", path, "--format", "microdata-csv")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1].split()[1:3] == ["80000", "40000"]
 
     def test_header_only_file(self, capsys, tmp_path):
         path = write_frame(tmp_path, "stratum,y,x\n")

@@ -15,7 +15,6 @@ from stratmean.errors import (
     NonPositiveCount,
     SampleExceedsStratum,
     ValidationError,
-    WeightSumViolation,
     ZeroAuxiliaryMean,
     ZeroMse,
 )
@@ -24,8 +23,8 @@ from conftest import direct_moments, RAW_DS1, DS1_KNOWN_MEAN_X
 
 def test_validate_populates_weights(ds1):
     # N = 25, so the squared weights are (6/25)^2 etc.
-    assert [s.weight for s in ds1.strata] == [0.24, 0.48, 0.28]
-    assert [round(s.weight**2, 4) for s in ds1.strata] == [0.0576, 0.2304, 0.0784]
+    assert ds1.weights == (0.24, 0.48, 0.28)
+    assert [round(w**2, 4) for w in ds1.weights] == [0.0576, 0.2304, 0.0784]
 
 
 def test_gamma_values(ds1):
@@ -39,7 +38,7 @@ def test_census_stratum_has_zero_gamma():
     s = sm.StratumSummary(1, N=5, n=5, mean_y=1.0, mean_x=2.0, var_y=1.0, var_x=1.0, cov_xy=0.0)
     d = sm.validate_design(sm.DesignSummary((s,)))
     assert d.strata[0].gamma == 0.0
-    assert d.strata[0].weight == 1.0
+    assert d.weights == (1.0,)
 
 
 def test_sample_exceeds_stratum():
@@ -62,14 +61,6 @@ def test_correlation_out_of_range():
     )
     with pytest.raises(CorrelationOutOfRange):
         sm.validate_design(sm.DesignSummary((s,)))
-
-
-def test_weight_sum_violation():
-    # explicit weights bypass the N_h/N derivation and must still sum to 1
-    s1 = sm.StratumSummary(1, 6, 3, 1.0, 2.0, 1.0, 1.0, 0.0, weight=0.5)
-    s2 = sm.StratumSummary(2, 6, 3, 1.0, 2.0, 1.0, 1.0, 0.0, weight=0.6)
-    with pytest.raises(WeightSumViolation):
-        sm.validate_design(sm.DesignSummary((s1, s2)))
 
 
 def test_strata_reordered_ascending():
@@ -233,6 +224,62 @@ def test_design_from_microdata_sizes_match_strata(sizes, error, message):
     ))
     with pytest.raises(error, match=message):
         sm.design_from_microdata(data, sizes)
+
+
+@pytest.mark.parametrize("sizes", [(2.7,), (True,), {1: 2.5}])
+def test_design_from_microdata_sizes_are_counts(sizes):
+    data = sm.Microdata((
+        sm.MicrodataStratum(1, np.array([1.0, 2.0, 4.0]), np.array([2.0, 3.0, 3.5])),
+    ))
+    with pytest.raises(ValidationError, match="stratum 1: sample size .* is not an integer"):
+        sm.design_from_microdata(data, sizes)
+
+
+FIVE_UNITS = sm.Microdata((
+    sm.MicrodataStratum(1, np.array([1.0, 2.0, 4.0, 7.0, 5.0]), np.array([2.0, 3.0, 3.5, 6.0, 4.0])),
+))
+
+
+def _rejection(call):
+    """The class of the ValidationError that ``call`` raises, or None."""
+    try:
+        call()
+    except ValidationError as exc:
+        return type(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(-2, 7), st.integers(-2, 7).map(float), st.floats(), st.booleans()))
+def test_one_rule_for_sample_sizes(v):
+    """Every entry point accepts the same sample sizes, or rejects them alike."""
+    stratum = sm.StratumSummary(1, N=5, n=v, mean_y=1.0, mean_x=2.0, var_y=1.0, var_x=1.0, cov_xy=0.0)
+    outcomes = {
+        _rejection(lambda: sm.validate_design(sm.DesignSummary((stratum,)))),
+        _rejection(lambda: sm.design_from_microdata(FIVE_UNITS, {1: v})),
+        _rejection(lambda: sm.design_from_microdata(FIVE_UNITS, (v,))),
+        _rejection(lambda: sm.enumeration_count(FIVE_UNITS, (v,))),
+        _rejection(lambda: sm.draw_stratified_srswor(FIVE_UNITS, (v,), seed=0)),
+    }
+    assert len(outcomes) == 1, (v, outcomes)
+
+
+def test_many_strata_pass_without_weight_sum_check():
+    """40,000 two-unit strata: the weights are N_h/N, so no rounded sum of
+    them can fail; the moments match the direct oracle."""
+    rows = tuple(
+        (h, 2, 1, 300.0 + h % 7, 100.0 + h % 5, 2.0 + h % 3, 1.0 + h % 4, 0.5)
+        for h in range(1, 40_001)
+    )
+    design = sm.validate_design(sm.DesignSummary(tuple(
+        sm.StratumSummary.from_correlation(
+            idx, N=N, n=n, mean_y=my, mean_x=mx, var_y=vy, var_x=vx, rho=rho
+        )
+        for idx, N, n, mx, my, vx, vy, rho in rows
+    )))
+    m = sm.aggregate_moments(design)
+    for name, value in direct_moments(rows).items():
+        assert getattr(m, name) == pytest.approx(value, rel=1e-14), name
 
 
 def test_relative_sd_helpers(ds1):

@@ -27,7 +27,7 @@ def pop1(ds1):
 class TestSynthesize:
     def test_roundtrip_exact(self, ds1, pop1):
         """Recomputed summaries equal the targets within 1e-9 relative."""
-        recovered = pop1.design(ds1.sample_sizes)
+        recovered = sm.design_from_microdata(pop1, ds1.sample_sizes)
         for target, got in zip(ds1.strata, recovered.strata):
             assert got.mean_y == pytest.approx(target.mean_y, rel=1e-9)
             assert got.mean_x == pytest.approx(target.mean_x, rel=1e-9)
@@ -84,8 +84,9 @@ class TestSynthesize:
 
 class TestDraw:
     def test_census_draw_recovers_population_means(self, pop1):
-        stats = sm.draw_stratified_srswor(pop1, pop1.sizes, seed=0)
-        d = pop1.design(pop1.sizes)
+        census = [s.N for s in pop1.strata]
+        stats = sm.draw_stratified_srswor(pop1, census, seed=0)
+        d = sm.design_from_microdata(pop1, census)
         m = sm.aggregate_moments(d)
         assert stats.ybar_st == pytest.approx(m.mean_y, rel=1e-12)
         assert stats.xbar_st == pytest.approx(m.mean_x, rel=1e-12)
@@ -113,7 +114,7 @@ class TestDraw:
             sm.draw_stratified_srswor(pop1, (7, 4, 3), seed=0)
         with pytest.raises(NonPositiveCount):
             sm.draw_stratified_srswor(pop1, (0, 4, 3), seed=0)
-        for bad in ((2.7, 4, 3), (True, 4, 3)):
+        for bad in ((2.7, 4, 3), (True, 4, 3), (math.nan, 4, 3), (math.inf, 4, 3)):
             with pytest.raises(ValidationError, match="is not an integer"):
                 sm.draw_stratified_srswor(pop1, bad, seed=0)
             with pytest.raises(ValidationError, match="is not an integer"):
@@ -129,7 +130,7 @@ class TestDraw:
 
     def test_mean_deviations_center_on_zero(self, ds1, pop1):
         """e0 and e1 average to ~0 over replications (3 MC SE band)."""
-        d = pop1.design(ds1.sample_sizes)
+        d = sm.design_from_microdata(pop1, ds1.sample_sizes)
         m = sm.aggregate_moments(d)
         rng = np.random.default_rng(12)
         draws = [sm.draw_stratified_srswor(pop1, ds1.sample_sizes, rng) for _ in range(4000)]
@@ -145,7 +146,7 @@ def _subset_frequencies(N: int, n: int, rows: int, seed: int) -> dict[int, float
     Unit i has y = 2**i, so n * ybar is the bit mask of the row's subset.
     """
     y = 2.0 ** np.arange(N)
-    pop = sm.FinitePopulation((sm.MicrodataStratum(1, y, np.ones(N)),))
+    pop = sm.Microdata((sm.MicrodataStratum(1, y, np.ones(N)),))
     rng = np.random.default_rng(seed)
     counts: dict[int, int] = {}
     for _ in range(rows // 200_000):
@@ -193,7 +194,7 @@ class TestEnumeration:
     def test_exact_variance_identity(self, ds1, pop1):
         """Enumerated variance of ybar_st equals the weighted-sum formula."""
         exact = sm.enumerate_exact_moments(pop1, ds1.sample_sizes)
-        m = sm.aggregate_moments(pop1.design(ds1.sample_sizes))
+        m = sm.aggregate_moments(sm.design_from_microdata(pop1, ds1.sample_sizes))
         assert exact.var_ybar == pytest.approx(m.var_ybar, rel=1e-9)
         assert exact.var_xbar == pytest.approx(m.var_xbar, rel=1e-9)
         assert exact.cov_xybar == pytest.approx(m.cov_xybar, rel=1e-9)
@@ -265,7 +266,7 @@ class TestReplicate:
 
     def test_se_bias_stable_under_large_offset(self, ds1, pop1):
         """Shifting y by 1e8 moves every draw's ybar_st, not its spread."""
-        shifted = sm.FinitePopulation(
+        shifted = sm.Microdata(
             tuple(sm.MicrodataStratum(s.index, s.y + 1e8, s.x) for s in pop1.strata)
         )
         specs = [sm.EstimatorSpec(K.UNBIASED)]
