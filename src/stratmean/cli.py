@@ -56,7 +56,6 @@ from .design import (
     aggregate_moments,
     as_count,
     design_from_microdata,
-    validate_design,
     StratumSummary,
 )
 from .errors import (
@@ -86,6 +85,14 @@ def _finite(value) -> float:
     raise ValueError(f"expected a finite number, got {value!r}")
 
 
+def _json_int(text: str) -> int | float:
+    """A JSON integer; past int()'s digit limit, a float (inf) to reject."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
 def _count(value) -> int:
     """A JSON count as an int, by the design's count rule (``as_count``)."""
     try:
@@ -102,11 +109,13 @@ _STRATUM_KEYS = {"index", "N", "n", "mean_y", "mean_x", "var_y", "var_x", "cov_x
 def _summary_from_json(path: str) -> DesignSummary:
     try:
         with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
+            payload = json.load(fh, parse_int=_json_int)
     except FileNotFoundError:
         raise ParseError(f"{path}: file not found") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from None
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not UTF-8 text") from None
     if not isinstance(payload, dict) or not isinstance(payload.get("strata"), list):
         raise SchemaError(f"{path}: top level must be an object with a 'strata' list")
     unknown = sorted(payload.keys() - _DOC_KEYS)
@@ -148,12 +157,8 @@ def _summary_from_json(path: str) -> DesignSummary:
             known = _finite(known)
         except (TypeError, ValueError) as exc:
             raise ParseError(f"{path}: known_mean_x: {exc}") from None
-    return validate_design(
-        DesignSummary(
-            tuple(strata),
-            known_mean_x=known,
-            label=str(payload.get("label", Path(path).stem)),
-        )
+    return DesignSummary(
+        tuple(strata), known_mean_x=known, label=str(payload.get("label", Path(path).stem))
     )
 
 

@@ -15,7 +15,7 @@ published.
 
 from __future__ import annotations
 
-from .design import DesignSummary, StratumSummary, validate_design
+from .design import DesignSummary, StratumSummary
 from .errors import UnknownDataset
 
 #: Published population ratio for the orchard survey.
@@ -30,7 +30,7 @@ def dataset_1() -> DesignSummary:
         (3, 7, 3, 80.714, 317.143, 120.238, 2890.476, 0.7523324),
     )
     strata = tuple(StratumSummary.from_correlation(*row) for row in rows)
-    return validate_design(DesignSummary(strata, known_mean_x=326.0, label="paper-1"))
+    return DesignSummary(strata, known_mean_x=326.0, label="paper-1")
 
 
 def dataset_2() -> DesignSummary:
@@ -48,7 +48,7 @@ def dataset_2() -> DesignSummary:
         )
         for idx, N, n, mean_x, var_x, var_y, cov_xy in rows
     )
-    return validate_design(DesignSummary(strata, label="paper-2"))
+    return DesignSummary(strata, label="paper-2")
 
 
 EMBEDDED = {

@@ -12,13 +12,15 @@ under stratified SRSWOR are
 
 with stratum weight ``W_h = N_h / N`` and finite-population factor
 ``gamma_h = 1/n_h - 1/N_h``, both derived from the counts, which
-``as_count`` checks.  A population is a ``Microdata``.  All types are
+``as_count`` checks.  A population is a ``Microdata``.  Every type checks
+its invariants when it is built, so one that exists is valid; all are
 immutable and safe to share across threads.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -57,7 +59,11 @@ def _weights(strata) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class StratumSummary:
-    """Per-stratum sizes and population moments (variance divisor N - 1)."""
+    """Per-stratum sizes and population moments (variance divisor N - 1).
+
+    Built only valid: index >= 1 and 1 <= n <= N are counts stored as ints,
+    the moments are finite, the variances >= 0 and |rho| <= 1.
+    """
 
     index: int
     N: int
@@ -68,24 +74,39 @@ class StratumSummary:
     var_x: float
     cov_xy: float
 
+    def __post_init__(self) -> None:
+        index = as_count(self.index, "stratum index")
+        if index < 1:
+            raise ValidationError(f"stratum indexes must be positive: [{index}]")
+        where = f"stratum {index}"
+        N = as_count(self.N, f"{where}: N")
+        n = as_count(self.n, f"{where}: n")
+        for name, count in (("index", index), ("N", N), ("n", n)):
+            object.__setattr__(self, name, count)
+        if N <= 0 or n <= 0:
+            raise NonPositiveCount(f"{where}: N={N}, n={n} must be positive")
+        if n > N:
+            raise SampleExceedsStratum(f"{where}: sample size {n} exceeds population {N}")
+        moments = (self.mean_y, self.mean_x, self.var_y, self.var_x, self.cov_xy)
+        if not all(abs(v) <= sys.float_info.max for v in moments):  # false for NaN
+            raise ValidationError(f"{where}: non-finite moment")
+        if self.var_y < 0 or self.var_x < 0:
+            raise ValidationError(f"{where}: negative variance")
+        if abs(self.cov_xy) > self.sd_x * self.sd_y * (1.0 + CORRELATION_TOL) + CORRELATION_TOL:
+            raise CorrelationOutOfRange(f"{where}: |rho| = {abs(self.rho):.6g} exceeds 1")
+
     @classmethod
     def from_correlation(
-        cls,
-        index: int,
-        N: int,
-        n: int,
-        mean_y: float,
-        mean_x: float,
-        var_y: float,
-        var_x: float,
-        rho: float,
+        cls, index: int, N: int, n: int, mean_y: float, mean_x: float,
+        var_y: float, var_x: float, rho: float,
     ) -> "StratumSummary":
         """Build a summary from a correlation instead of a covariance.
 
         Converts via cov_xy = rho * sd_x * sd_y; both parameterizations
-        populate the same field.
+        populate the same field.  A negative variance is left for the
+        constructor to reject.
         """
-        cov = rho * math.sqrt(var_x) * math.sqrt(var_y)
+        cov = rho * math.sqrt(max(var_x, 0.0)) * math.sqrt(max(var_y, 0.0))
         return cls(index, N, n, mean_y, mean_x, var_y, var_x, cov)
 
     @property
@@ -109,34 +130,16 @@ class StratumSummary:
             return 0.0
         return self.cov_xy / denom
 
-    def check(self) -> None:
-        """Raise if any stratum invariant is violated."""
-        N = as_count(self.N, f"stratum {self.index}: N")
-        n = as_count(self.n, f"stratum {self.index}: n")
-        if N <= 0 or n <= 0:
-            raise NonPositiveCount(
-                f"stratum {self.index}: N={self.N}, n={self.n} must be positive"
-            )
-        if n > N:
-            raise SampleExceedsStratum(
-                f"stratum {self.index}: sample size {self.n} exceeds population {self.N}"
-            )
-        if self.var_y < 0 or self.var_x < 0:
-            raise ValidationError(f"stratum {self.index}: negative variance")
-        bound = self.var_x * self.var_y
-        if self.cov_xy**2 > bound * (1.0 + CORRELATION_TOL) + CORRELATION_TOL**2:
-            raise CorrelationOutOfRange(
-                f"stratum {self.index}: |rho| = {abs(self.rho):.6g} exceeds 1"
-            )
-
 
 @dataclass(frozen=True)
 class DesignSummary:
     """An ordered collection of stratum summaries plus design-level fields.
 
-    ``known_mean_x``, when given, is used as the auxiliary population mean
-    in place of the weighted stratum-mean aggregate (the estimators assume
-    the auxiliary mean is known).
+    Strata are sorted by index, so sums are reproducible; an empty or
+    repeated index set and a non-finite ``known_mean_x`` are rejected.
+    ``known_mean_x``, when given, is used as the auxiliary population mean in
+    place of the weighted stratum-mean aggregate (the estimators assume the
+    auxiliary mean is known).
     """
 
     strata: tuple[StratumSummary, ...]
@@ -144,7 +147,15 @@ class DesignSummary:
     label: str = ""
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "strata", tuple(self.strata))
+        strata = tuple(sorted(self.strata, key=lambda s: s.index))
+        if not strata:
+            raise NonPositiveCount("design has no strata")
+        indexes = [s.index for s in strata]
+        if len(set(indexes)) != len(indexes):
+            raise ValidationError(f"duplicate stratum indexes: {indexes}")
+        if self.known_mean_x is not None and not abs(self.known_mean_x) <= sys.float_info.max:
+            raise ValidationError(f"known_mean_x {self.known_mean_x!r} is not finite")
+        object.__setattr__(self, "strata", strata)
 
     @property
     def N(self) -> int:
@@ -165,14 +176,22 @@ class DesignSummary:
 
 @dataclass(frozen=True)
 class CombinedMoments:
-    """Aggregated design moments of the combined stratified sample means."""
+    """Aggregated design moments of the combined stratified sample means;
+    a zero ``mean_x`` leaves R = mean_y / mean_x undefined and is rejected."""
 
     mean_y: float
     mean_x: float
-    ratio: float  # mean_y / mean_x
     var_ybar: float
     var_xbar: float
     cov_xybar: float
+
+    def __post_init__(self) -> None:
+        if self.mean_x == 0.0:
+            raise ZeroAuxiliaryMean("auxiliary population mean is zero; ratio undefined")
+
+    @property
+    def ratio(self) -> float:
+        return self.mean_y / self.mean_x
 
 
 @dataclass(frozen=True)
@@ -258,32 +277,17 @@ def checked_sample_sizes(
 
 
 def validate_design(design: DesignSummary) -> DesignSummary:
-    """Check all invariants and return the design with its strata in order.
-
-    Strata are reordered ascending by index so downstream summations are
-    reproducible.  Raises ValidationError (a count that is not an integer,
-    or a bad stratum index), NonPositiveCount, SampleExceedsStratum or
-    CorrelationOutOfRange.
-    """
-    if not design.strata:
-        raise NonPositiveCount("design has no strata")
-    strata = tuple(sorted(design.strata, key=lambda s: s.index))
-    indexes = [s.index for s in strata]
-    if len(set(indexes)) != len(indexes):
-        raise ValidationError(f"duplicate stratum indexes: {indexes}")
-    if indexes[0] < 1:
-        raise ValidationError(f"stratum indexes must be positive: {indexes}")
-    for s in strata:
-        s.check()
-    return DesignSummary(strata, known_mean_x=design.known_mean_x, label=design.label)
+    """Return ``design``: a DesignSummary is checked when it is built.  Kept
+    for callers of the earlier API, which checked a design here."""
+    return design
 
 
 def summarize_stratum(stratum: MicrodataStratum, n: int) -> StratumSummary:
     """Compute a StratumSummary from the raw values of one stratum.
 
     Means are arithmetic means; variances and the covariance use divisor
-    N - 1.  ``n`` is the planned sample size for the stratum; it is checked
-    with the rest of the design by ``validate_design``.
+    N - 1.  ``n`` is the planned sample size for the stratum, checked by
+    ``StratumSummary``.
     """
     N = stratum.N
     if N < 2:
@@ -303,13 +307,13 @@ def summarize_stratum(stratum: MicrodataStratum, n: int) -> StratumSummary:
 def design_from_microdata(
     data: Microdata, sample_sizes: Mapping[int, int] | Sequence[int]
 ) -> DesignSummary:
-    """Summarize every stratum of ``data`` and assemble a validated design.
+    """Summarize every stratum of ``data`` and assemble its design.
 
     ``sample_sizes`` is read by ``checked_sample_sizes``.
     """
     n = checked_sample_sizes(data, sample_sizes)
     summaries = tuple(summarize_stratum(s, nh) for s, nh in zip(data.strata, n))
-    return validate_design(DesignSummary(summaries, label=data.label))
+    return DesignSummary(summaries, label=data.label)
 
 
 def aggregate_moments(design: DesignSummary) -> CombinedMoments:
@@ -319,7 +323,6 @@ def aggregate_moments(design: DesignSummary) -> CombinedMoments:
     overridden by ``known_mean_x`` when present); the variance/covariance
     sums run over strata in ascending index order.
     """
-    design = validate_design(design)
     mean_y = 0.0
     mean_x_agg = 0.0
     var_ybar = 0.0
@@ -333,12 +336,9 @@ def aggregate_moments(design: DesignSummary) -> CombinedMoments:
         var_xbar += wwg * s.var_x
         cov_xybar += wwg * s.cov_xy
     mean_x = design.known_mean_x if design.known_mean_x is not None else mean_x_agg
-    if mean_x == 0.0:
-        raise ZeroAuxiliaryMean("auxiliary population mean is zero; ratio undefined")
     return CombinedMoments(
         mean_y=mean_y,
         mean_x=mean_x,
-        ratio=mean_y / mean_x,
         var_ybar=var_ybar,
         var_xbar=var_xbar,
         cov_xybar=cov_xybar,

@@ -3,8 +3,10 @@
 Every error carries a short machine-readable ``code`` (the CLI prints a
 single ``error:<code>: message`` line) and an ``exit_code``: 2 for usage
 mistakes, 3 for data or validation problems, 4 for computation problems.
-A count (N, n, a sample size) that is not an integer raises the plain
-``ValidationError``.  Stratum weights are always N_h / N, so none can fail.
+A count (N, n, a sample size, a stratum index) that is not an integer
+raises the plain ``ValidationError``.  Stratum weights are always N_h / N,
+so none can fail.  The design types raise these when they are built, and
+``InfeasibleMoments`` only marks a synthesis that cannot draw a stratum.
 """
 
 

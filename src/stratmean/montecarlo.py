@@ -26,7 +26,6 @@ import numpy as np
 
 from . import mse as mse_mod
 from .design import (
-    CORRELATION_TOL,
     CombinedMoments,
     DesignSummary,
     Microdata,
@@ -35,7 +34,6 @@ from .design import (
     aggregate_moments,
     checked_sample_sizes,
     design_from_microdata,
-    validate_design,
 )
 from .errors import DegenerateStratum, InfeasibleMoments
 from .estimators import EstimatorSpec, SampleStats, estimate_many
@@ -142,22 +140,17 @@ def synthesize_population(
 
     Bivariate normal draws are affinely transformed so that each stratum's
     recomputed means, variances, and covariance (divisor N-1) equal the
-    targets to machine precision.  Deterministic per seed.
+    targets to machine precision.  Deterministic per seed.  A stratum of
+    fewer than 3 units raises DegenerateStratum; InfeasibleMoments is left
+    for a draw that stays degenerate.
     """
+    rng = np.random.default_rng(seed)
+    strata = []
     for s in targets.strata:
         if s.N < 3:
             raise DegenerateStratum(
                 f"stratum {s.index}: population of {s.N} cannot match 5 moments"
             )
-        bound = s.var_x * s.var_y
-        if s.cov_xy**2 > bound * (1.0 + CORRELATION_TOL) + CORRELATION_TOL**2:
-            raise InfeasibleMoments(
-                f"stratum {s.index}: |rho| = {abs(s.rho):.6g} exceeds 1"
-            )
-    targets = validate_design(targets)
-    rng = np.random.default_rng(seed)
-    strata = []
-    for s in targets.strata:
         y, x = _match_bivariate(rng, s)
         strata.append(MicrodataStratum(s.index, y, x))
     return Microdata(tuple(strata), label=targets.label)
@@ -411,7 +404,6 @@ def enumerate_exact_moments(
     return CombinedMoments(
         mean_y=mean_y,
         mean_x=mean_x,
-        ratio=mean_y / mean_x,
         var_ybar=float((dy * dy).mean()),
         var_xbar=float((dx * dx).mean()),
         cov_xybar=float((dx * dy).mean()),

@@ -87,7 +87,9 @@ class TestIngest:
     @pytest.mark.parametrize(
         "literal",
         ["NaN", "Infinity", "-Infinity", "1e999", '"99.1"', '" 310.8 "', "true",
-         pytest.param("1" + "0" * 400, id="10**400")],
+         pytest.param("1" + "0" * 400, id="10**400"),
+         # beyond the 4300 digits that int() converts from text
+         pytest.param("1" * 5001, id="5001-digits")],
     )
     @pytest.mark.parametrize(
         "field", ["mean_y", "mean_x", "var_y", "var_x", "rho", "known_mean_x"]
@@ -102,6 +104,22 @@ class TestIngest:
         assert code == 3 and out == ""
         where = "known_mean_x" if field == "known_mean_x" else "stratum 1"
         assert err.startswith("error:parse:") and f"{where}: expected a finite number" in err
+
+    def test_summary_json_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "d.json"
+        path.write_bytes(json.dumps(SUMMARY_DOC).replace("demo", "d\xe9mo").encode("latin-1"))
+        code, out, err = run_cli(capsys, "moments", "--data", str(path))
+        assert (code, out, err) == (3, "", f"error:parse: {path}: not UTF-8 text\n")
+
+    @pytest.mark.parametrize("second", ["cov_xy", "rho"])
+    def test_summary_json_negative_variance(self, capsys, tmp_path, second):
+        """Both parameterizations name the variance, not a sqrt domain error."""
+        doc = {"strata": [{"N": 6, "n": 3, "mean_y": 1, "mean_x": 2,
+                           "var_y": -1, "var_x": 1, second: 0.5}]}
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "moments", "--data", str(path))
+        assert (code, out, err) == (3, "", "error:validation: stratum 1: negative variance\n")
 
     @pytest.mark.parametrize("field", ["N", "n"])
     @pytest.mark.parametrize("value", [12.9, 3.5, True, "4.2", "1_2", "4"])

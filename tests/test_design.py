@@ -36,45 +36,98 @@ def test_gamma_values(ds1):
 
 def test_census_stratum_has_zero_gamma():
     s = sm.StratumSummary(1, N=5, n=5, mean_y=1.0, mean_x=2.0, var_y=1.0, var_x=1.0, cov_xy=0.0)
-    d = sm.validate_design(sm.DesignSummary((s,)))
+    d = sm.DesignSummary((s,))
     assert d.strata[0].gamma == 0.0
     assert d.weights == (1.0,)
 
 
 def test_sample_exceeds_stratum():
-    s = sm.StratumSummary(1, N=4, n=5, mean_y=1.0, mean_x=2.0, var_y=1.0, var_x=1.0, cov_xy=0.0)
     with pytest.raises(SampleExceedsStratum):
-        sm.validate_design(sm.DesignSummary((s,)))
+        sm.StratumSummary(1, N=4, n=5, mean_y=1.0, mean_x=2.0, var_y=1.0, var_x=1.0, cov_xy=0.0)
 
 
 def test_non_positive_count():
-    s = sm.StratumSummary(1, N=0, n=0, mean_y=1.0, mean_x=2.0, var_y=1.0, var_x=1.0, cov_xy=0.0)
     with pytest.raises(NonPositiveCount):
-        sm.validate_design(sm.DesignSummary((s,)))
+        sm.StratumSummary(1, N=0, n=0, mean_y=1.0, mean_x=2.0, var_y=1.0, var_x=1.0, cov_xy=0.0)
     with pytest.raises(NonPositiveCount):
-        sm.validate_design(sm.DesignSummary(()))
+        sm.DesignSummary(())
 
 
 def test_correlation_out_of_range():
-    s = sm.StratumSummary.from_correlation(
-        1, N=6, n=3, mean_y=1.0, mean_x=2.0, var_y=1.0, var_x=1.0, rho=1.2
-    )
     with pytest.raises(CorrelationOutOfRange):
-        sm.validate_design(sm.DesignSummary((s,)))
+        sm.StratumSummary.from_correlation(
+            1, N=6, n=3, mean_y=1.0, mean_x=2.0, var_y=1.0, var_x=1.0, rho=1.2
+        )
+    # the same bound on a covariance given directly, and on one too large
+    # to square in floating point
+    for cov in (1.5, 1e200):
+        with pytest.raises(CorrelationOutOfRange):
+            sm.StratumSummary(1, N=6, n=3, mean_y=1.0, mean_x=1.0, var_y=1.0, var_x=1.0, cov_xy=cov)
+
+
+@pytest.mark.parametrize("index, message", [
+    (1.5, "stratum index 1.5 is not an integer"),
+    (True, "stratum index True is not an integer"),
+    (0, r"stratum indexes must be positive: \[0\]"),
+])
+def test_stratum_index_is_a_positive_count(index, message):
+    with pytest.raises(ValidationError, match=message):
+        sm.StratumSummary(index, 6, 3, 1.0, 2.0, 1.0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: sm.StratumSummary(1, 6, 3, math.nan, 2.0, 1.0, 1.0, 0.0),
+    lambda: sm.StratumSummary(1, 6, 3, 1.0, 2.0, math.inf, 1.0, 0.0),
+    lambda: sm.StratumSummary.from_correlation(1, 6, 3, 1.0, 2.0, 1.0, 1.0, math.nan),
+    lambda: sm.DesignSummary((sm.StratumSummary(1, 6, 3, 1.0, 2.0, 1.0, 1.0, 0.0),),
+                             known_mean_x=math.inf),
+], ids=["mean_y-nan", "var_y-inf", "rho-nan", "known_mean_x-inf"])
+def test_non_finite_moments_rejected(build):
+    with pytest.raises(ValidationError, match="not finite|non-finite"):
+        build()
+
+
+@pytest.mark.parametrize("make", [sm.StratumSummary, sm.StratumSummary.from_correlation])
+def test_negative_variance_named(make):
+    """from_correlation reports the variance, not the square root's domain error."""
+    with pytest.raises(ValidationError, match="^stratum 1: negative variance$"):
+        make(1, 6, 3, 1.0, 2.0, -1.0, 1.0, 0.5)
 
 
 def test_strata_reordered_ascending():
     s1 = sm.StratumSummary(2, 6, 3, 1.0, 2.0, 1.0, 1.0, 0.0)
     s2 = sm.StratumSummary(1, 6, 3, 1.0, 2.0, 1.0, 1.0, 0.0)
-    d = sm.validate_design(sm.DesignSummary((s1, s2)))
+    d = sm.DesignSummary((s1, s2))
     assert [s.index for s in d.strata] == [1, 2]
+    assert sm.validate_design(d) is d
 
 
 def test_duplicate_stratum_indexes_rejected():
     s1 = sm.StratumSummary(1, 6, 3, 1.0, 2.0, 1.0, 1.0, 0.0)
     s2 = sm.StratumSummary(1, 6, 3, 1.0, 2.0, 1.0, 1.0, 0.0)
-    with pytest.raises(sm.errors.ValidationError):
-        sm.validate_design(sm.DesignSummary((s1, s2)))
+    with pytest.raises(sm.errors.ValidationError, match=r"duplicate stratum indexes: \[1, 1\]"):
+        sm.DesignSummary((s1, s2))
+
+
+#: Every kind of number a caller could pass for one field.
+ANY_NUMBER = st.one_of(st.integers(-2, 12), st.integers(), st.floats(), st.booleans())
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.booleans(), st.tuples(*[ANY_NUMBER] * 8))
+def test_stratum_checks_itself(with_rho, fields):
+    """A stratum is rejected with a ValidationError, or it is valid."""
+    build = sm.StratumSummary.from_correlation if with_rho else sm.StratumSummary
+    try:
+        s = build(*fields)
+    except ValidationError:
+        return
+    assert all(type(v) is int for v in (s.index, s.N, s.n))
+    assert 1 <= s.n <= s.N and s.index >= 1
+    assert all(math.isfinite(v) for v in (s.mean_y, s.mean_x, s.var_y, s.var_x, s.cov_xy))
+    assert s.var_y >= 0 and s.var_x >= 0
+    tol = sm.design.CORRELATION_TOL
+    assert abs(s.cov_xy) <= s.sd_x * s.sd_y * (1.0 + tol) + tol
 
 
 def test_summarize_constant_data():
@@ -204,7 +257,7 @@ def test_microdata_roundtrip_bit_for_bit():
         )
     data = sm.Microdata(tuple(strata))
     via_micro = sm.design_from_microdata(data, (3, 4, 3))
-    via_summaries = sm.validate_design(sm.DesignSummary(tuple(expected)))
+    via_summaries = sm.DesignSummary(tuple(expected))
     a = sm.aggregate_moments(via_micro)
     b = sm.aggregate_moments(via_summaries)
     assert a == b  # identical floats, not just close
@@ -253,9 +306,9 @@ def _rejection(call):
 @given(st.one_of(st.integers(-2, 7), st.integers(-2, 7).map(float), st.floats(), st.booleans()))
 def test_one_rule_for_sample_sizes(v):
     """Every entry point accepts the same sample sizes, or rejects them alike."""
-    stratum = sm.StratumSummary(1, N=5, n=v, mean_y=1.0, mean_x=2.0, var_y=1.0, var_x=1.0, cov_xy=0.0)
     outcomes = {
-        _rejection(lambda: sm.validate_design(sm.DesignSummary((stratum,)))),
+        _rejection(lambda: sm.StratumSummary(
+            1, N=5, n=v, mean_y=1.0, mean_x=2.0, var_y=1.0, var_x=1.0, cov_xy=0.0)),
         _rejection(lambda: sm.design_from_microdata(FIVE_UNITS, {1: v})),
         _rejection(lambda: sm.design_from_microdata(FIVE_UNITS, (v,))),
         _rejection(lambda: sm.enumeration_count(FIVE_UNITS, (v,))),
@@ -271,12 +324,12 @@ def test_many_strata_pass_without_weight_sum_check():
         (h, 2, 1, 300.0 + h % 7, 100.0 + h % 5, 2.0 + h % 3, 1.0 + h % 4, 0.5)
         for h in range(1, 40_001)
     )
-    design = sm.validate_design(sm.DesignSummary(tuple(
+    design = sm.DesignSummary(tuple(
         sm.StratumSummary.from_correlation(
             idx, N=N, n=n, mean_y=my, mean_x=mx, var_y=vy, var_x=vx, rho=rho
         )
         for idx, N, n, mx, my, vx, vy, rho in rows
-    )))
+    ))
     m = sm.aggregate_moments(design)
     for name, value in direct_moments(rows).items():
         assert getattr(m, name) == pytest.approx(value, rel=1e-14), name

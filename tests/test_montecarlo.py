@@ -12,10 +12,10 @@ from stratmean import EstimatorKind as K
 from stratmean.montecarlo import _draw_block, _merge_moments, _moments
 from stratmean.errors import (
     DegenerateStratum,
-    InfeasibleMoments,
     NonPositiveCount,
     SampleExceedsStratum,
     ValidationError,
+    ZeroAuxiliaryMean,
 )
 
 
@@ -74,11 +74,6 @@ class TestSynthesize:
     def test_degenerate_population(self):
         target = sm.StratumSummary(1, N=2, n=1, mean_y=1.0, mean_x=1.0, var_y=1.0, var_x=1.0, cov_xy=0.0)
         with pytest.raises(DegenerateStratum):
-            sm.synthesize_population(sm.DesignSummary((target,)), seed=0)
-
-    def test_infeasible_correlation(self):
-        target = sm.StratumSummary(1, N=6, n=3, mean_y=1.0, mean_x=1.0, var_y=1.0, var_x=1.0, cov_xy=1.5)
-        with pytest.raises(InfeasibleMoments):
             sm.synthesize_population(sm.DesignSummary((target,)), seed=0)
 
 
@@ -203,6 +198,13 @@ class TestEnumeration:
     def test_limit_enforced(self, pop1, ds1):
         with pytest.raises(ValueError):
             sm.enumerate_exact_moments(pop1, ds1.sample_sizes, limit=100)
+
+    def test_zero_auxiliary_mean(self):
+        """x averages to exactly 0 over the six samples, so R is undefined."""
+        pop = sm.Microdata((sm.MicrodataStratum(
+            1, np.array([1.0, 2.0, 3.0, 4.0]), np.array([-1.0, 0.0, 1.0, 0.0])),))
+        with pytest.raises(ZeroAuxiliaryMean):
+            sm.enumerate_exact_moments(pop, (2,))
 
 
 @pytest.fixture(scope="module")
