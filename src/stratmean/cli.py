@@ -9,7 +9,9 @@ optimize   ``mse`` with k1/k2 left to their MSE-optimal values
 table      ``mse`` on ``--data``; ``--paper-layout`` puts both embedded
            designs side by side in the original column layout, and takes
            no data, format, estimator or constant flags
-simulate   Monte Carlo agreement report on a moment-matched population
+simulate   Monte Carlo agreement report: draws from a ``microdata-csv``
+           file's own units, or from a population synthesized to match
+           the design's stratum moments
 
 Each command is one path from flags to report: ``build_parser`` holds every
 flag and default, the handler that the subcommand names with ``set_defaults``
@@ -187,7 +189,8 @@ def _open_csv(path: str):
         raise ParseError(f"{path}: file not found") from None
 
 
-def _design_from_csv(path: str) -> DesignSummary:
+def _microdata_from_csv(path: str) -> tuple[Microdata, dict[int, int]]:
+    """The units of a ``microdata-csv`` file and its sidecar's sample sizes."""
     sidecar = Path(f"{path}.n.json")
     if not sidecar.exists():
         raise SchemaError(f"{sidecar}: sample-size sidecar not found")
@@ -226,7 +229,7 @@ def _design_from_csv(path: str) -> DesignSummary:
         MicrodataStratum(int(label), rows["y"][members], rows["x"][members])
         for label, members in zip(labels, np.split(order, starts[1:]))
     )
-    return design_from_microdata(Microdata(strata, label=Path(path).stem), sizes)
+    return Microdata(strata, label=Path(path).stem), sizes
 
 
 def _raise_bad_line(path: str, reason: Exception) -> NoReturn:
@@ -279,7 +282,7 @@ def ingest(source: str, fmt: str | None = None) -> DesignSummary:
     if fmt in (None, "summary-json"):
         return _summary_from_json(source)
     if fmt == "microdata-csv":
-        return _design_from_csv(source)
+        return design_from_microdata(*_microdata_from_csv(source))
     raise SchemaError(f"unknown input format {fmt!r}")
 
 
@@ -358,8 +361,6 @@ def _specs(args: argparse.Namespace) -> list[EstimatorSpec]:
     """One spec per ``--estimators`` kind (default: the nine table rows),
     carrying the constants given."""
     kinds = args.estimators or [spec.kind for spec in default_table_specs()]
-    if args.optimal:
-        return [EstimatorSpec(kind) for kind in kinds]
     _require_whole_set(
         [kind.value for kind in kinds if kind.uses_mixing],
         {"p": args.p, "a": args.a, "b": args.b},
@@ -438,7 +439,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 #: Flags that ``table --paper-layout`` would otherwise ignore; each defaults
 #: to None so that giving it at all is seen.
-_NOT_IN_PAPER_LAYOUT = ("data", "format", "estimators", "optimal", "w", "p", "a", "b", "k1", "k2")
+_NOT_IN_PAPER_LAYOUT = ("data", "format", "estimators", "w", "p", "a", "b", "k1", "k2")
 
 
 def _cmd_mse(args: argparse.Namespace) -> int:
@@ -490,12 +491,23 @@ def _paper_layout() -> tuple[list[dict], list[str]]:
     return rows, notes
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _population(args: argparse.Namespace) -> tuple[Microdata, dict[int, int] | tuple[int, ...]]:
+    """The population ``simulate`` draws from, and its sample sizes.
+
+    A ``microdata-csv`` file is its own population.  Any other design gets
+    one synthesized, from ``--seed``, to match its stratum moments.
+    """
+    if args.format == "microdata-csv" and args.data not in EMBEDDED and Path(args.data).exists():
+        return _microdata_from_csv(args.data)
     design = ingest(args.data, args.format)
-    pop = montecarlo.synthesize_population(design, seed=args.seed)
+    return montecarlo.synthesize_population(design, seed=args.seed), design.sample_sizes
+
+
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    pop, sample_sizes = _population(args)
     report = montecarlo.replicate(
         pop,
-        design.sample_sizes,
+        sample_sizes,
         _specs(args),
         reps=args.reps,
         seed=args.seed,
@@ -614,12 +626,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--b", type=float)
         p.add_argument("--k1", type=float)
         p.add_argument("--k2", type=float)
-        p.add_argument(
-            "--optimal",
-            action="store_true",
-            default=None,
-            help="resolve all constants to their MSE-optimal values",
-        )
 
     p = sub.add_parser("moments", help="combined design moments")
     common(p)
@@ -678,10 +684,6 @@ def main(argv: list[str] | None = None) -> int:
         return exc.exit_code
     except ValueError as exc:
         print(f"error:computation: {exc}", file=sys.stderr)
-        return 4
-    except ArithmeticError as exc:
-        # overflow or a vanishing divisor, e.g. an optimal w beyond ~1e154
-        print(f"error:computation: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
 
 

@@ -77,3 +77,9 @@ class NonPositiveBase(StratmeanError):
 
 class ZeroMse(StratmeanError):
     code = "zero-mse"
+
+
+class ComputationError(StratmeanError):
+    """Floating-point arithmetic failed, e.g. an optimal constant overflowed."""
+
+    code = "computation"

@@ -187,49 +187,24 @@ def transform_coefficients(
     return shape.delta, shape.curvature
 
 
-def _is_integer(value: float) -> bool:
-    return float(value).is_integer()
+def _guarded_power(num: np.ndarray, den: np.ndarray, e: float):
+    """(num / den) ** e where it is real, with masks where it is not.
 
-
-def _exponent_parts(xbar, mean_x: float, w: float):
-    """Transform value and validity masks for the exponent family.
-
-    Returns (factor, bad_base) where bad_base marks draws whose power is
-    not real-valued (negative base with fractional w, or zero base with
-    negative w).
+    ``num`` and ``den`` are float arrays of one shape.  Returns (powed,
+    zero_den, bad_base): zero_den marks a vanishing denominator, or a zero
+    base raised to a negative integer power; bad_base marks a non-positive
+    base raised to a fractional power.  ``powed`` is nan where either holds.
     """
-    base = np.asarray(xbar, dtype=float) / mean_x
-    if _is_integer(w):
-        bad = (base == 0.0) & (w < 0)
-    else:
-        bad = base <= 0.0 if w != 0.0 else np.zeros_like(base, dtype=bool)
     with np.errstate(all="ignore"):
-        powed = np.where(bad, np.nan, np.power(np.where(bad, 1.0, base), w))
-    return 2.0 - powed, bad
-
-
-def _mixing_parts(xbar, mean_x: float, p: float, a: float, b: float):
-    """Transform value and validity masks for the mixing-ratio family.
-
-    Returns (factor, zero_den, bad_base): zero_den marks a vanishing
-    denominator bracket (or a zero base raised to a negative power);
-    bad_base marks a negative base with fractional p.
-    """
-    xbar = np.asarray(xbar, dtype=float)
-    diff = mean_x - xbar
-    num = xbar + a * diff
-    den = xbar + b * diff
-    zero_den = den == 0.0
-    # placeholder base of 1.0 where the denominator vanishes; masked below
-    base = np.where(zero_den, 1.0, num) / np.where(zero_den, 1.0, den)
-    if _is_integer(p):
-        bad_base = np.zeros_like(base, dtype=bool)
-        zero_den = zero_den | ((base == 0.0) & (p < 0))
-    else:
-        bad_base = ~zero_den & (base <= 0.0) if p != 0.0 else np.zeros_like(base, dtype=bool)
-    invalid = zero_den | bad_base
-    with np.errstate(all="ignore"):
-        powed = np.where(invalid, np.nan, np.power(np.where(invalid, 1.0, base), p))
+        base = num / den
+        zero_den = den == 0.0
+        if float(e).is_integer():
+            bad_base = np.zeros_like(zero_den)
+            zero_den = zero_den | ((base == 0.0) & (e < 0))
+        else:
+            bad_base = ~zero_den & (base <= 0.0)
+        invalid = zero_den | bad_base
+        powed = np.where(invalid, np.nan, np.power(np.where(invalid, 1.0, base), e))
     return powed, zero_den, bad_base
 
 
@@ -276,13 +251,16 @@ def estimate_many(
         values = ybar * xbar / mean_x
     else:
         shape = (spec.shape or ShapeParams()).require(kind)
+        diff = mean_x - xbar
         if kind.uses_exponent:
-            factor, bad_base = _exponent_parts(xbar, mean_x, shape.w)  # type: ignore[arg-type]
-        else:
-            factor, zero_den, bad_base = _mixing_parts(
-                xbar, mean_x, shape.p, shape.a, shape.b  # type: ignore[arg-type]
+            powed, zero_den, bad_base = _guarded_power(
+                xbar, np.full_like(xbar, mean_x), shape.w  # type: ignore[arg-type]
             )
-        values = _combine(kind, ybar, mean_x - xbar, factor, k1, k2)
+            factor = 2.0 - powed
+        else:
+            num, den = xbar + shape.a * diff, xbar + shape.b * diff  # type: ignore[operator]
+            factor, zero_den, bad_base = _guarded_power(num, den, shape.p)  # type: ignore[arg-type]
+        values = _combine(kind, ybar, diff, factor, k1, k2)
 
     valid = ~(zero_den | bad_base)
     values = np.where(valid, values, np.nan)

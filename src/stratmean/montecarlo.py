@@ -7,7 +7,9 @@ enumeration of all samples is available where the combination count is
 feasible, giving exact design moments instead of simulated ones.
 
 A population is a ``design.Microdata``: every function here takes one, and
-checks its sample sizes with ``design.checked_sample_sizes``.
+checks its sample sizes with ``design.checked_sample_sizes``.  It is either
+synthesized, with one whiten-then-colour construction for every stratum,
+or read from unit-level data; the draw and the enumeration treat both alike.
 
 Reproducibility: the random stream is split deterministically over fixed
 replication blocks, so a report depends only on (population, sample sizes,
@@ -90,38 +92,27 @@ class EmpiricalReport:
         return all(r.agrees for r in self.rows)
 
 
-def _match_univariate(rng: np.random.Generator, count: int, mean: float, sd: float) -> np.ndarray:
-    if sd == 0.0:
-        return np.full(count, mean)
-    for _ in range(16):
-        z = rng.standard_normal(count)
-        z = z - z.mean()
-        scale = math.sqrt(float(z @ z) / (count - 1))
-        if scale > 0.0:
-            return z * (sd / scale) + mean
-    raise InfeasibleMoments("could not draw a non-degenerate stratum")
-
-
 def _match_bivariate(rng: np.random.Generator, s: StratumSummary) -> tuple[np.ndarray, np.ndarray]:
-    """Values whose sample moments (divisor N-1) equal the targets exactly."""
-    count = s.N
-    sd_x, sd_y = s.sd_x, s.sd_y
-    if sd_x == 0.0 or sd_y == 0.0:
-        y = _match_univariate(rng, count, s.mean_y, sd_y)
-        x = _match_univariate(rng, count, s.mean_x, sd_x)
-        return y, x
-    rho = s.cov_xy / (sd_x * sd_y)
-    if 1.0 - min(rho * rho, 1.0) < 1e-12:
-        # perfectly (or indistinguishably) correlated: exact affine relation
-        y = _match_univariate(rng, count, s.mean_y, sd_y)
-        x = s.mean_x + math.copysign(sd_x / sd_y, rho) * (y - s.mean_y)
-        return y, x
-    target = np.array([[s.var_x, s.cov_xy], [s.cov_xy, s.var_y]])
-    color = np.linalg.cholesky(target)
+    """Values whose sample moments (divisor N-1) equal the targets exactly.
+
+    Centred normal draws are whitened to identity sample covariance, then
+    coloured by the lower Cholesky factor of the target covariance matrix
+    of (x, y).  The factor is written out as LAPACK computes it, so a zero
+    variance leaves a zero column (a constant variate) and |rho| = 1 leaves
+    y an exact affine image of x.
+    """
+    l11 = s.sd_x
+    l21 = s.cov_xy * (1.0 / l11) if l11 > 0.0 else 0.0
+    if s.var_y - l21 * l21 < 1e-12 * s.var_y:
+        # 1 - rho**2 < 1e-12: perfectly (or indistinguishably) correlated
+        l21, l22 = math.copysign(s.sd_y, l21), 0.0
+    else:
+        l22 = math.sqrt(s.var_y - l21 * l21)
+    color = np.array([[l11, 0.0], [l21, l22]])
     for _ in range(16):
-        z = rng.standard_normal((count, 2))
+        z = rng.standard_normal((s.N, 2))
         z = z - z.mean(axis=0)
-        empirical = (z.T @ z) / (count - 1)
+        empirical = (z.T @ z) / (s.N - 1)
         try:
             chol = np.linalg.cholesky(empirical)
         except np.linalg.LinAlgError:
@@ -140,9 +131,10 @@ def synthesize_population(
 
     Bivariate normal draws are affinely transformed so that each stratum's
     recomputed means, variances, and covariance (divisor N-1) equal the
-    targets to machine precision.  Deterministic per seed.  A stratum of
-    fewer than 3 units raises DegenerateStratum; InfeasibleMoments is left
-    for a draw that stays degenerate.
+    targets to machine precision; one construction serves every stratum,
+    including zero variances and |rho| = 1.  Deterministic per seed.  A
+    stratum of fewer than 3 units raises DegenerateStratum; InfeasibleMoments
+    is left for a draw that stays degenerate.
     """
     rng = np.random.default_rng(seed)
     strata = []
@@ -194,15 +186,13 @@ def _draw_block(
 
     Each stratum draws m = min(n_h, N_h - n_h) units per row with Floyd's
     algorithm.  When m < n_h the drawn units are the ones left out, and the
-    sample sum is the stratum total minus theirs.
+    sample sum is the stratum total minus theirs.  A census stratum
+    (n_h = N_h) leaves out m = 0 units: it draws no random numbers and
+    contributes its mean to every row.
     """
     yb = np.zeros(count)
     xb = np.zeros(count)
     for s, nh, w in zip(pop.strata, n, weights):
-        if nh == s.N:
-            yb += w * float(s.y.mean())
-            xb += w * float(s.x.mean())
-            continue
         m = min(nh, s.N - nh)
         left_out = m < nh  # the drawn units are the complement of the sample
         sign = -1.0 if left_out else 1.0

@@ -37,11 +37,12 @@ stratified mean scores exactly 100.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Sequence
 
 from .design import CombinedMoments, DesignSummary, aggregate_moments
-from .errors import ZeroMse
+from .errors import ComputationError, ZeroMse
 from .estimators import (
     EstimatorKind,
     EstimatorSpec,
@@ -198,6 +199,20 @@ def _optimizes_shape(spec: EstimatorSpec) -> bool:
     return spec.kind is EstimatorKind.T2 and (shape is None or shape.p is None)
 
 
+def _arithmetic_checked(fn):
+    """Raise a float overflow or zero division in ``fn`` as ComputationError."""
+
+    @functools.wraps(fn)
+    def checked(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except ArithmeticError as exc:
+            raise ComputationError(f"{type(exc).__name__}: {exc}") from exc
+
+    return checked
+
+
+@_arithmetic_checked
 def resolve_spec(spec: EstimatorSpec, m: CombinedMoments) -> EstimatorSpec:
     """Fill in any unresolved constants of ``spec`` from the moments.
 
@@ -227,6 +242,7 @@ def resolve_spec(spec: EstimatorSpec, m: CombinedMoments) -> EstimatorSpec:
     return EstimatorSpec(kind, shape=shape, k1=k1, k2=k2)
 
 
+@_arithmetic_checked
 def analyze(spec: EstimatorSpec, m: CombinedMoments) -> MseResult:
     """Resolve constants and compute the spec's first-order MSE result."""
     resolved = resolve_spec(spec, m)

@@ -423,7 +423,7 @@ class TestCommands:
     def test_estimate_optimal_resolves_constants(self, capsys):
         code, out, _ = run_cli(
             capsys, "estimate", "--data", "paper-1",
-            "--estimators", "t5", "--optimal",
+            "--estimators", "t5",
             "--ybar-st", "100", "--xbar-st", "330",
             "--output-format", "json",
         )
@@ -492,6 +492,33 @@ class TestSimulate:
         )
         assert code == 0
         assert "# policy:" in out and "verdict" in out
+
+    def test_microdata_draws_from_the_file_units(self, capsys, tmp_path):
+        # strata of 2 units cannot be synthesized to match 5 moments; their
+        # own units can be drawn
+        path = write_frame(
+            tmp_path, "stratum,y,x\n1,1.0,2.0\n1,3.0,5.0\n2,4.0,1.0\n2,7.0,3.5\n",
+            {"1": 1, "2": 1},
+        )
+        flags = ("--data", path, "--format", "microdata-csv",
+                 "--output-format", "json", "--full-precision")
+        code, out, err = run_cli(
+            capsys, "simulate", *flags, "--reps", "3000", "--estimators", "unbiased"
+        )
+        assert code == 0, err
+        row = json.loads(out)["rows"][0]
+        _, moments, _ = run_cli(capsys, "moments", *flags)
+        assert row["theoretical_mse"] == json.loads(moments)["rows"][0]["var_ybar"]
+        # every sample mean is (y_1 + y_2) / 2 for one unit of each stratum
+        assert 2.5 <= row["empirical_mean"] <= 5.0
+
+    def test_optimal_flag_is_gone(self, capsys):
+        # leaving the constants out already resolves them optimally
+        code, out, err = run_cli(
+            capsys, "mse", "--data", "paper-1", "--estimators", "t1", "--w", "3", "--optimal"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:usage: stratmean: unrecognized arguments: --optimal")
 
     def test_strict_fails_on_insufficient_reps(self, capsys):
         # below the verdict threshold every row is insufficient-replications,
@@ -596,7 +623,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "flags",
         [("--data", "paper-1"), ("--format", "summary-json"), ("--estimators", "t1"),
-         ("--optimal",), ("--w", "0"), ("--p", "1"), ("--a", "1"), ("--b", "0"),
+         ("--w", "0"), ("--p", "1"), ("--a", "1"), ("--b", "0"),
          ("--k1", "1"), ("--k2", "0"), ("--w", "5", "--estimators", "t1")],
     )
     def test_paper_layout_rejects_ignored_flags(self, capsys, flags):

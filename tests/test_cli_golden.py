@@ -46,9 +46,10 @@ def golden_commands() -> list[list[str]]:
               "--p", "1", "--a", "1", "--b", "0"]
     for cmd in ("table", "mse"):
         commands.append([cmd, "--data", "paper-1", *custom])
-    commands.append(
-        ["simulate", "--data", "paper-1", "--reps", "2000", "--seed", "3", "--full-precision"]
-    )
+    for data in ("paper-1", "paper-2"):
+        commands.append(
+            ["simulate", "--data", data, "--reps", "2000", "--seed", "3", "--full-precision"]
+        )
     return commands
 
 
@@ -68,5 +69,8 @@ def test_output_unchanged(argv):
 
 
 if __name__ == "__main__":
-    table = {" ".join(argv): run(argv) for argv in golden_commands()}
+    table = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    for argv in golden_commands():
+        if " ".join(argv) not in table:
+            table[" ".join(argv)] = run(argv)
     GOLDEN.write_text(json.dumps(table, indent=1) + "\n", encoding="utf-8")

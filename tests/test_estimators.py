@@ -65,6 +65,13 @@ class TestShapeFamilies:
         with pytest.raises(NonPositiveBase):
             estimate(K.T1, stats(xbar=-10.0), sm.ShapeParams(w=0.5))
 
+    def test_t1_zero_base_negative_integer_power(self):
+        # (0 / mean_x) ** -1 divides by zero, as T2 reports the same power
+        with pytest.raises(ZeroDenominator):
+            estimate(K.T1, stats(xbar=0.0), sm.ShapeParams(w=-1.0))
+        with pytest.raises(ZeroDenominator):
+            estimate(K.T2, stats(xbar=0.0), sm.ShapeParams(p=-1.0, a=0.0, b=1.0))
+
     def test_t2_zero_denominator(self):
         # denominator xbar + b (mean_x - xbar) = 0 at b = xbar / (xbar - mean_x)
         xbar = 300.0

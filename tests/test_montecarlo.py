@@ -46,16 +46,19 @@ class TestSynthesize:
         got = sm.summarize_stratum(pop.strata[0], 3)
         assert got.var_y == pytest.approx(80.0, rel=1e-9)
 
-    def test_perfect_correlation_is_affine(self):
+    @pytest.mark.parametrize("rho", [1.0, -1.0])
+    def test_perfect_correlation_is_affine(self, rho):
         target = sm.StratumSummary.from_correlation(
-            1, N=8, n=3, mean_y=10.0, mean_x=20.0, var_y=4.0, var_x=9.0, rho=1.0
+            1, N=8, n=3, mean_y=10.0, mean_x=20.0, var_y=4.0, var_x=9.0, rho=rho
         )
         pop = sm.synthesize_population(sm.DesignSummary((target,)), seed=3)
         y, x = pop.strata[0].y, pop.strata[0].x
-        # x must be an exact affine image of y with slope sd_x/sd_y = 1.5
-        np.testing.assert_allclose(x, 20.0 + 1.5 * (y - 10.0), rtol=1e-12)
+        # x must be an exact affine image of y with slope rho * sd_x/sd_y
+        np.testing.assert_allclose(x, 20.0 + rho * 1.5 * (y - 10.0), rtol=1e-12)
         got = sm.summarize_stratum(pop.strata[0], 3)
-        assert got.rho == pytest.approx(1.0, rel=1e-12)
+        assert got.rho == pytest.approx(rho, rel=1e-12)
+        assert got.var_y == pytest.approx(4.0, rel=1e-12)
+        assert got.var_x == pytest.approx(9.0, rel=1e-12)
 
     def test_same_seed_bit_identical(self, ds1):
         a = sm.synthesize_population(ds1, seed=7)
@@ -64,12 +67,24 @@ class TestSynthesize:
             assert np.array_equal(sa.y, sb.y)
             assert np.array_equal(sa.x, sb.x)
 
-    def test_zero_variance_targets(self):
-        target = sm.StratumSummary(1, N=5, n=2, mean_y=3.0, mean_x=4.0, var_y=0.0, var_x=2.0, cov_xy=0.0)
+    @pytest.mark.parametrize(
+        "var_y, var_x", [(0.0, 2.0), (2.0, 0.0), (0.0, 0.0)], ids=["var_y", "var_x", "both"]
+    )
+    def test_zero_variance_targets(self, var_y, var_x):
+        target = sm.StratumSummary(
+            1, N=5, n=2, mean_y=3.0, mean_x=4.0, var_y=var_y, var_x=var_x, cov_xy=0.0
+        )
         pop = sm.synthesize_population(sm.DesignSummary((target,)), seed=2)
-        assert np.all(pop.strata[0].y == 3.0)
         got = sm.summarize_stratum(pop.strata[0], 2)
-        assert got.var_x == pytest.approx(2.0, rel=1e-12)
+        for values, mean, var, got_var in (
+            (pop.strata[0].y, 3.0, var_y, got.var_y),
+            (pop.strata[0].x, 4.0, var_x, got.var_x),
+        ):
+            if var == 0.0:
+                assert np.all(values == mean)
+            else:
+                assert got_var == pytest.approx(var, rel=1e-12)
+        assert got.cov_xy == pytest.approx(0.0, abs=1e-12)
 
     def test_degenerate_population(self):
         target = sm.StratumSummary(1, N=2, n=1, mean_y=1.0, mean_x=1.0, var_y=1.0, var_x=1.0, cov_xy=0.0)
@@ -80,7 +95,11 @@ class TestSynthesize:
 class TestDraw:
     def test_census_draw_recovers_population_means(self, pop1):
         census = [s.N for s in pop1.strata]
-        stats = sm.draw_stratified_srswor(pop1, census, seed=0)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        stats = sm.draw_stratified_srswor(pop1, census, seed=rng)
+        # a census leaves no unit out, so it draws no random numbers
+        assert rng.bit_generator.state == state
         d = sm.design_from_microdata(pop1, census)
         m = sm.aggregate_moments(d)
         assert stats.ybar_st == pytest.approx(m.mean_y, rel=1e-12)

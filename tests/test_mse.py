@@ -7,7 +7,7 @@ import pytest
 
 import stratmean as sm
 from stratmean import EstimatorKind as K
-from stratmean.errors import ZeroMse
+from stratmean.errors import ComputationError, ZeroMse
 
 # frozen via the direct-summation oracle over the published inputs
 DS1_MSE_RATIO = 3.4776315694138233
@@ -300,3 +300,29 @@ def test_optimal_dual_solved_once_per_unresolved_spec(ds1, m1, monkeypatch):
     assert len(calls) == 1
     sm.analyze(resolved, m1)
     assert len(calls) == 1
+
+
+def _one_stratum_moments(mean_y, var_x, cov_xy):
+    s = sm.StratumSummary(1, N=2, n=1, mean_y=mean_y, mean_x=1.0, var_y=1.0,
+                          var_x=var_x, cov_xy=cov_xy)
+    return sm.aggregate_moments(sm.DesignSummary((s,)))
+
+
+@pytest.mark.parametrize(
+    "call, mean_y, var_x, cov_xy, cause",
+    [
+        # optimal w = cov_xybar / (R var_xbar) ~ 2e154 overflows T2's curvature
+        (lambda m: sm.analyze(sm.EstimatorSpec(K.T2), m), 1.0, 2.2e-309, 4.7e-155,
+         "OverflowError: "),
+        # R var_xbar ~ 5e-401 underflows to zero in the optimal w
+        (lambda m: sm.resolve_spec(sm.EstimatorSpec(K.T1), m), 1e-300, 1e-100, 1e-51,
+         "ZeroDivisionError: "),
+    ],
+    ids=["analyze-overflow", "resolve-underflow"],
+)
+def test_arithmetic_failure_is_computation_error(call, mean_y, var_x, cov_xy, cause):
+    m = _one_stratum_moments(mean_y, var_x, cov_xy)
+    with pytest.raises(ComputationError) as err:
+        call(m)
+    assert err.value.code == "computation" and err.value.exit_code == 4
+    assert str(err.value).startswith(cause)
