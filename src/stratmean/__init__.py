@@ -24,7 +24,6 @@ from .estimators import (
     BatchEstimates,
     EstimatorKind,
     EstimatorSpec,
-    SampleStats,
     ShapeParams,
     estimate,
     estimate_many,
@@ -45,13 +44,12 @@ from .mse import (
 from .montecarlo import (
     EmpiricalReport,
     EstimatorOutcome,
-    draw_stratified_srswor,
     enumerate_exact_moments,
     enumeration_count,
     replicate,
     synthesize_population,
 )
-from .datasets import dataset_1, dataset_2, get_dataset
+from .datasets import get_dataset
 
 __version__ = "0.1.0"
 
@@ -67,16 +65,12 @@ __all__ = [
     "MicrodataStratum",
     "MseResult",
     "QuadraticMseForm",
-    "SampleStats",
     "ShapeParams",
     "StratumSummary",
     "aggregate_moments",
     "analyze",
-    "dataset_1",
-    "dataset_2",
     "default_table_specs",
     "design_from_microdata",
-    "draw_stratified_srswor",
     "efficiency_table",
     "enumerate_exact_moments",
     "enumeration_count",

@@ -5,7 +5,8 @@ Commands
 moments    combined design moments of a dataset
 estimate   point estimates from observed combined sample means
 mse        first-order MSE/bias/PRE at given (or optimal) constants
-optimize   ``mse`` with k1/k2 left to their MSE-optimal values
+optimize   ``mse`` with k1/k2 at their MSE-optimal values; it has no
+           ``--k1``/``--k2`` flags
 table      ``mse`` on ``--data``; ``--paper-layout`` puts both embedded
            designs side by side in the original column layout, and takes
            no data, format, estimator or constant flags
@@ -30,9 +31,10 @@ each stratum keeps file order.  Only a file that ``loadtxt`` rejected is
 scanned again line by line, to name the first bad line in the error.
 
 Every failure prints one ``error:<code>: message`` line on stderr.  Exit
-codes: 0 ok, 2 usage (a bad or missing flag, an unknown or empty
-``--estimators`` list, or a partial set of constants such as ``--p`` without
-``--a``/``--b``), 3 data, 4 computation, 5 failed strict verdict.
+codes: 0 ok, 2 usage (a bad or missing flag, a numeric flag that is not a
+finite number, an unknown or empty ``--estimators`` list, or a partial set
+of constants such as ``--p`` without ``--a``/``--b``), 3 data,
+4 computation, 5 failed strict verdict.
 """
 
 from __future__ import annotations
@@ -67,7 +69,6 @@ from .estimators import (
     KIND_BY_NAME,
     EstimatorKind,
     EstimatorSpec,
-    SampleStats,
     ShapeParams,
     estimate as estimate_point,
 )
@@ -421,11 +422,10 @@ def _cmd_moments(args: argparse.Namespace) -> int:
 def _cmd_estimate(args: argparse.Namespace) -> int:
     design = ingest(args.data, args.format)
     m = aggregate_moments(design)
-    stats = SampleStats(args.ybar_st, args.xbar_st)
     rows = []
     for spec in _specs(args):
         resolved = resolve_spec(spec, m)
-        value = estimate_point(resolved, stats, m.mean_x)
+        value = estimate_point(resolved, args.ybar_st, args.xbar_st, m.mean_x)
         rows.append(
             {
                 "estimator": resolved.label,
@@ -445,7 +445,7 @@ _NOT_IN_PAPER_LAYOUT = ("data", "format", "estimators", "w", "p", "a", "b", "k1"
 def _cmd_mse(args: argparse.Namespace) -> int:
     """``mse``, ``optimize`` and ``table``: one MSE/PRE row per estimator.
 
-    ``optimize`` is ``mse`` with any explicit k1/k2 left to the optimum.
+    ``optimize`` has no k1/k2 flags, so its duals resolve to the optimum.
     """
     if args.command == "table" and args.paper_layout:
         given = [f"--{name}" for name in _NOT_IN_PAPER_LAYOUT if getattr(args, name) is not None]
@@ -457,10 +457,7 @@ def _cmd_mse(args: argparse.Namespace) -> int:
         raise UsageError("table requires --data unless --paper-layout is given")
     design = ingest(args.data, args.format)
     m = aggregate_moments(design)
-    specs = _specs(args)
-    if args.command == "optimize":
-        specs = [EstimatorSpec(spec.kind, shape=spec.shape) for spec in specs]
-    _write_report(args, [_result_row(analyze(spec, m)) for spec in specs])
+    _write_report(args, [_result_row(analyze(spec, m)) for spec in _specs(args)])
     return 0
 
 
@@ -555,14 +552,27 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(low: int):
+    """An argparse type: an int no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
+def _finite_float(text: str) -> float:
+    """An argparse type: a float by the rule ``_finite`` applies to JSON numbers."""
     try:
-        value = int(text)
+        return _finite(float(text))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}") from None
 
 
 def _estimator_kinds(text: str) -> list[EstimatorKind]:
@@ -620,12 +630,12 @@ def build_parser() -> argparse.ArgumentParser:
             type=_estimator_kinds,
             help="comma-separated list (t1..t6, ratio, product, unbiased)",
         )
-        p.add_argument("--w", type=float)
-        p.add_argument("--p", type=float)
-        p.add_argument("--a", type=float)
-        p.add_argument("--b", type=float)
-        p.add_argument("--k1", type=float)
-        p.add_argument("--k2", type=float)
+        for name in ("w", "p", "a", "b"):
+            p.add_argument(f"--{name}", type=_finite_float)
+
+    def dual_flags(p: argparse.ArgumentParser) -> None:
+        for name in ("k1", "k2"):
+            p.add_argument(f"--{name}", type=_finite_float)
 
     p = sub.add_parser("moments", help="combined design moments")
     common(p)
@@ -634,23 +644,26 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="point estimates from sample means")
     common(p)
     estimator_flags(p)
-    p.add_argument("--ybar-st", type=float, required=True, dest="ybar_st")
-    p.add_argument("--xbar-st", type=float, required=True, dest="xbar_st")
+    dual_flags(p)
+    p.add_argument("--ybar-st", type=_finite_float, required=True, dest="ybar_st")
+    p.add_argument("--xbar-st", type=_finite_float, required=True, dest="xbar_st")
     p.set_defaults(handler=_cmd_estimate)
 
     p = sub.add_parser("mse", help="first-order MSE/bias/PRE")
     common(p)
     estimator_flags(p)
+    dual_flags(p)
     p.set_defaults(handler=_cmd_mse)
 
     p = sub.add_parser("optimize", help="MSE-optimal constants")
     common(p)
     estimator_flags(p)
-    p.set_defaults(handler=_cmd_mse)
+    p.set_defaults(handler=_cmd_mse, k1=None, k2=None)
 
     p = sub.add_parser("table", help="nine-row MSE/PRE comparison")
     common(p, data_required=False)
     estimator_flags(p)
+    dual_flags(p)
     p.add_argument(
         "--paper-layout",
         action="store_true",
@@ -661,9 +674,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte Carlo agreement report")
     common(p)
     estimator_flags(p)
-    p.add_argument("--reps", type=_positive_int, default=200_000)
+    dual_flags(p)
+    p.add_argument("--reps", type=_int_at_least(2), default=200_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=_positive_int, default=1)
+    p.add_argument("--workers", type=_int_at_least(1), default=1)
     p.add_argument(
         "--strict",
         action="store_true",

@@ -107,14 +107,6 @@ class ShapeParams:
 
 
 @dataclass(frozen=True)
-class SampleStats:
-    """Observed combined sample means."""
-
-    ybar_st: float
-    xbar_st: float
-
-
-@dataclass(frozen=True)
 class EstimatorSpec:
     """An estimator kind plus its constants.
 
@@ -230,13 +222,15 @@ def estimate_many(
 
     Invalid draws (zero denominators, non-real powers) are masked out and
     tallied by error code rather than raised; the scalar ``estimate`` below
-    shares this code path and raises instead.
+    shares this code path and raises instead.  Only a zero ``mean_x`` is
+    refused outright: a negative one is a valid design, and the transforms
+    that need a positive base flag the draws where they do not get one.
     """
     kind = spec.kind
     ybar = np.asarray(ybar_st, dtype=float)
     xbar = np.asarray(xbar_st, dtype=float)
-    if mean_x <= 0.0:
-        raise ZeroDenominator("auxiliary population mean must be positive")
+    if mean_x == 0.0:
+        raise ZeroDenominator("auxiliary population mean is zero")
     k1, k2 = spec.dual_constants()
 
     zero_den = np.zeros(ybar.shape, dtype=bool)
@@ -272,14 +266,12 @@ def estimate_many(
     return BatchEstimates(values=values, valid=valid, error_counts=counts)
 
 
-def estimate(spec: EstimatorSpec, stats: SampleStats, mean_x: float) -> float:
+def estimate(spec: EstimatorSpec, ybar_st: float, xbar_st: float, mean_x: float) -> float:
     """Evaluate any estimator spec with fully resolved constants."""
-    batch = estimate_many(
-        spec, np.array([stats.ybar_st]), np.array([stats.xbar_st]), mean_x
-    )
+    batch = estimate_many(spec, np.array([ybar_st]), np.array([xbar_st]), mean_x)
     if "zero-denominator" in batch.error_counts:
         raise ZeroDenominator(
-            f"{spec.kind.value}: denominator vanishes at xbar_st={stats.xbar_st!r}"
+            f"{spec.kind.value}: denominator vanishes at xbar_st={xbar_st!r}"
         )
     if "non-positive-base" in batch.error_counts:
         raise NonPositiveBase(

@@ -6,10 +6,11 @@ bias/MSE of every estimator against the first-order formulas.  Exhaustive
 enumeration of all samples is available where the combination count is
 feasible, giving exact design moments instead of simulated ones.
 
-A population is a ``design.Microdata``: every function here takes one, and
-checks its sample sizes with ``design.checked_sample_sizes``.  It is either
-synthesized, with one whiten-then-colour construction for every stratum,
-or read from unit-level data; the draw and the enumeration treat both alike.
+A population is a ``design.Microdata``: every public function here takes
+one, and checks its sample sizes with ``design.checked_sample_sizes``.  It
+is either synthesized, with one whiten-then-colour construction for every
+stratum, or read from unit-level data; the draw and the enumeration treat
+both alike.  Samples are drawn only in blocks, inside ``replicate``.
 
 Reproducibility: the random stream is split deterministically over fixed
 replication blocks, so a report depends only on (population, sample sizes,
@@ -38,7 +39,7 @@ from .design import (
     design_from_microdata,
 )
 from .errors import DegenerateStratum, InfeasibleMoments
-from .estimators import EstimatorSpec, SampleStats, estimate_many
+from .estimators import EstimatorSpec, estimate_many
 
 #: Replication block size; part of the random-stream definition.
 _BLOCK = 4096
@@ -71,10 +72,6 @@ class EstimatorOutcome:
     theoretical_mse: float
     verdict: str
 
-    @property
-    def agrees(self) -> bool:
-        return self.verdict == "ok"
-
 
 @dataclass(frozen=True)
 class EmpiricalReport:
@@ -89,7 +86,7 @@ class EmpiricalReport:
 
     @property
     def all_ok(self) -> bool:
-        return all(r.agrees for r in self.rows)
+        return all(r.verdict == "ok" for r in self.rows)
 
 
 def _match_bivariate(rng: np.random.Generator, s: StratumSummary) -> tuple[np.ndarray, np.ndarray]:
@@ -146,18 +143,6 @@ def synthesize_population(
         y, x = _match_bivariate(rng, s)
         strata.append(MicrodataStratum(s.index, y, x))
     return Microdata(tuple(strata), label=targets.label)
-
-
-def draw_stratified_srswor(
-    pop: Microdata,
-    sample_sizes: Sequence[int],
-    seed: int | np.random.Generator | None = None,
-) -> SampleStats:
-    """One stratified SRSWOR draw; returns its combined sample means."""
-    n = checked_sample_sizes(pop, sample_sizes)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    yb, xb = _draw_block(rng, pop, n, pop.weights, 1)
-    return SampleStats(float(yb[0]), float(xb[0]))
 
 
 def _floyd_picks(rng: np.random.Generator, N: int, m: int, count: int) -> np.ndarray:
@@ -247,8 +232,8 @@ def replicate(
     spec, not raised.  Agreement verdicts follow AGREEMENT_POLICY and
     require at least MIN_REPS_FOR_VERDICT replications.
     """
-    if reps < 1:
-        raise ValueError("reps must be at least 1")
+    if reps < 2:
+        raise ValueError("reps must be at least 2")
     n = checked_sample_sizes(pop, sample_sizes)
     m = aggregate_moments(design_from_microdata(pop, n))
     weights = pop.weights

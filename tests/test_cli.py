@@ -451,6 +451,31 @@ class TestCommands:
         assert rows[0]["mse"] == pytest.approx(702.137, rel=1e-4)
         assert rows[0]["mse"] == rows[1]["mse"]
 
+    def test_optimize_has_no_dual_flags(self, capsys):
+        # optimize always solves for (k1, k2); explicit values are refused
+        code, out, err = run_cli(capsys, "optimize", "--data", "paper-1", "--k1", "1", "--k2", "0")
+        assert code == 2 and out == ""
+        assert err.startswith("error:usage: stratmean: unrecognized arguments: --k1 1 --k2 0")
+        assert err.count("\n") == 1
+
+    def test_negative_auxiliary_mean(self, capsys, tmp_path):
+        # only a zero mean_x is refused; the transforms check their own bases
+        doc = {"strata": [{"N": 6, "n": 3, "mean_y": 135.0, "mean_x": -366.666,
+                           "var_y": 80.0, "var_x": 2706.666, "rho": 0.9455626}]}
+        path = tmp_path / "negative.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(
+            capsys, "estimate", "--data", str(path),
+            "--estimators", "unbiased,ratio,product,t1,t2,t6",
+            "--ybar-st", "130", "--xbar-st", "-360", "--output-format", "json", "--full-precision",
+        )
+        assert code == 0 and err == ""
+        rows = {r["estimator"]: r["estimate"] for r in json.loads(out)["rows"]}
+        assert rows["unbiased"] == 130.0
+        assert rows["ratio"] == pytest.approx(130.0 * -366.666 / -360.0, rel=1e-14)
+        assert rows["product"] == pytest.approx(130.0 * -360.0 / -366.666, rel=1e-14)
+        assert len(rows) == 6
+
     def test_full_precision_roundtrip(self, capsys):
         code, out, _ = run_cli(
             capsys, "moments", "--data", "paper-1",
@@ -555,8 +580,31 @@ class TestExitCodes:
         code, out, err = run_cli(
             capsys, "simulate", "--data", "paper-1", "--reps", "10", *flag
         )
+        low = 2 if flag[0] == "--reps" else 1
         assert code == 2 and out == ""
-        assert f"argument {flag[0]}: must be at least 1" in err
+        assert f"argument {flag[0]}: must be at least {low}" in err
+
+    def test_simulate_single_replication_is_usage_error(self, capsys):
+        # one replication has no spread to summarize
+        code, out, err = run_cli(capsys, "simulate", "--data", "paper-1", "--reps", "1")
+        assert code == 2 and out == ""
+        assert err == "error:usage: stratmean simulate: argument --reps: must be at least 2, got 1\n"
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("mse", f) for f in ("--w", "--p", "--a", "--b", "--k1", "--k2")]
+        + [("estimate", "--ybar-st"), ("estimate", "--xbar-st")],
+    )
+    def test_non_finite_numeric_flag_is_usage_error(self, capsys, command, flag, value):
+        argv = [command, "--data", "paper-1", f"{flag}={value}"]
+        if command == "estimate":
+            argv += [f"{m}=100" for m in ("--ybar-st", "--xbar-st") if m != flag]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error:usage: stratmean {command}: argument {flag}: "
+                              f"expected a finite number, got '{value}'")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "names, message", [("t9", "unknown estimator 't9'"), (",", "no estimators selected")]

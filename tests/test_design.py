@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import stratmean as sm
@@ -312,7 +312,6 @@ def test_one_rule_for_sample_sizes(v):
         _rejection(lambda: sm.design_from_microdata(FIVE_UNITS, {1: v})),
         _rejection(lambda: sm.design_from_microdata(FIVE_UNITS, (v,))),
         _rejection(lambda: sm.enumeration_count(FIVE_UNITS, (v,))),
-        _rejection(lambda: sm.draw_stratified_srswor(FIVE_UNITS, (v,), seed=0)),
     }
     assert len(outcomes) == 1, (v, outcomes)
 
@@ -362,6 +361,10 @@ def _analyzed(spec, m):
 
 @settings(max_examples=300, deadline=None)
 @given(small_designs())
+# a subnormal var_x: both optima are 0 up to one subnormal ulp
+@example(sm.DesignSummary((
+    sm.StratumSummary(1, 2, 1, 0.5, 42.5, 0.0, 1.1125369292536007e-308, 0.0),
+)))
 def test_one_quadratic_form_reductions_and_dominance(design):
     """Every estimator is a point on one MSE surface (module ``mse``).
 
@@ -390,8 +393,9 @@ def test_one_quadratic_form_reductions_and_dominance(design):
             assert t2 == pytest.approx(baseline, rel=1e-12)
     t1 = sm.resolve_spec(sm.EstimatorSpec(K.T1), m)
     shape_min = sm.quadratic_form(K.T1, t1.shape, m).value(1.0, 0.0)
-    # a perfect fit leaves both optima at zero plus rounding of this scale
-    noise = 1e-12 * (m.var_ybar + m.ratio**2 * m.var_xbar)
+    # a perfect fit leaves both optima at zero plus rounding of this scale;
+    # the absolute term keeps it above zero when the moments are subnormal
+    noise = 1e-12 * (m.var_ybar + m.ratio**2 * m.var_xbar) + 4 * math.ulp(0.0)
     t2 = sm.resolve_spec(sm.EstimatorSpec(K.T2), m)
     assert sm.quadratic_form(K.T2, t2.shape, m).value(1.0, 0.0) == shape_min
     for kind in (K.T3, K.T4, K.T5, K.T6):

@@ -11,11 +11,12 @@ MEAN_X = 326.0
 
 
 def stats(ybar=100.0, xbar=300.0):
-    return sm.SampleStats(ybar, xbar)
+    """Observed (ybar_st, xbar_st)."""
+    return ybar, xbar
 
 
 def estimate(kind, s, shape=None, k1=None, k2=None):
-    return sm.estimate(sm.EstimatorSpec(kind, shape, k1=k1, k2=k2), s, MEAN_X)
+    return sm.estimate(sm.EstimatorSpec(kind, shape, k1=k1, k2=k2), *s, MEAN_X)
 
 
 class TestBaselines:
@@ -158,9 +159,9 @@ def test_first_order_consistency():
     delta = sm.ShapeParams(p=p, a=a, b=b).delta
     for eps in (1e-4, 1e-6):
         e0, e1 = 0.8 * eps, -eps
-        s = sm.SampleStats(mean_y * (1 + e0), mean_x * (1 + e1))
-        t1 = sm.estimate(sm.EstimatorSpec(K.T1, sm.ShapeParams(w=w)), s, mean_x)
-        t2 = sm.estimate(sm.EstimatorSpec(K.T2, sm.ShapeParams(p=p, a=a, b=b)), s, mean_x)
+        s = (mean_y * (1 + e0), mean_x * (1 + e1))
+        t1 = sm.estimate(sm.EstimatorSpec(K.T1, sm.ShapeParams(w=w)), *s, mean_x)
+        t2 = sm.estimate(sm.EstimatorSpec(K.T2, sm.ShapeParams(p=p, a=a, b=b)), *s, mean_x)
         lin1 = mean_y * (1 + e0 - w * e1)
         lin2 = mean_y * (1 + e0 + delta * e1)
         bound = 50.0 * mean_y * eps * eps  # generous second-order envelope
@@ -176,7 +177,7 @@ def test_estimate_many_matches_scalar():
     spec = sm.EstimatorSpec(K.T6, sm.ShapeParams(p=1.0, a=1.0, b=0.0), k1=0.95, k2=0.2)
     batch = sm.estimate_many(spec, ybar, xbar, MEAN_X)
     for i in range(50):
-        scalar = sm.estimate(spec, sm.SampleStats(ybar[i], xbar[i]), MEAN_X)
+        scalar = sm.estimate(spec, ybar[i], xbar[i], MEAN_X)
         assert scalar == batch.values[i]
 
 
@@ -191,6 +192,16 @@ def test_estimate_many_counts_errors():
 def test_integer_exponent_allows_negative_base():
     got = estimate(K.T1, stats(xbar=-326.0), sm.ShapeParams(w=3.0))
     assert got == 100.0 * (2.0 - (-1.0) ** 3)
+
+
+def test_only_a_zero_auxiliary_mean_is_refused():
+    ratio = sm.EstimatorSpec(K.COMBINED_RATIO)
+    assert sm.estimate(ratio, 130.0, -360.0, -366.0) == 130.0 * -366.0 / -360.0
+    with pytest.raises(ZeroDenominator):
+        sm.estimate(sm.EstimatorSpec(K.UNBIASED), 130.0, 360.0, 0.0)
+    # a fractional power still refuses the negative base xbar / mean_x
+    with pytest.raises(NonPositiveBase):
+        sm.estimate(sm.EstimatorSpec(K.T1, sm.ShapeParams(w=0.5)), 130.0, 360.0, -366.0)
 
 
 def test_shape_params_derived():
@@ -215,6 +226,6 @@ def test_transform_coefficients_baselines():
 
 def test_missing_constants_raise():
     with pytest.raises(ValueError):
-        sm.estimate(sm.EstimatorSpec(K.T3, sm.ShapeParams(w=1.0)), stats(), MEAN_X)
+        sm.estimate(sm.EstimatorSpec(K.T3, sm.ShapeParams(w=1.0)), *stats(), MEAN_X)
     with pytest.raises(ValueError):
         estimate(K.T1, stats(), sm.ShapeParams())

@@ -97,18 +97,18 @@ class TestDraw:
         census = [s.N for s in pop1.strata]
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
-        stats = sm.draw_stratified_srswor(pop1, census, seed=rng)
+        yb, xb = _draw_block(rng, pop1, tuple(census), pop1.weights, 1)
         # a census leaves no unit out, so it draws no random numbers
         assert rng.bit_generator.state == state
         d = sm.design_from_microdata(pop1, census)
         m = sm.aggregate_moments(d)
-        assert stats.ybar_st == pytest.approx(m.mean_y, rel=1e-12)
-        assert stats.xbar_st == pytest.approx(m.mean_x, rel=1e-12)
+        assert yb[0] == pytest.approx(m.mean_y, rel=1e-12)
+        assert xb[0] == pytest.approx(m.mean_x, rel=1e-12)
 
     def test_single_unit_draw(self, pop1):
         # one unit per stratum: the combined means are sum_h W_h (y_h, x_h)
         # over some choice of one unit in each stratum
-        stats = sm.draw_stratified_srswor(pop1, (1, 1, 1), seed=5)
+        yb, xb = _draw_block(np.random.default_rng(5), pop1, (1, 1, 1), pop1.weights, 1)
         weights = pop1.weights
         choices = [
             (
@@ -118,26 +118,25 @@ class TestDraw:
             for units in itertools.product(*(range(s.N) for s in pop1.strata))
         ]
         assert any(
-            ybar == pytest.approx(stats.ybar_st, rel=1e-12)
-            and xbar == pytest.approx(stats.xbar_st, rel=1e-12)
+            ybar == pytest.approx(yb[0], rel=1e-12)
+            and xbar == pytest.approx(xb[0], rel=1e-12)
             for ybar, xbar in choices
         )
 
     def test_bad_sample_sizes(self, pop1):
-        with pytest.raises(SampleExceedsStratum):
-            sm.draw_stratified_srswor(pop1, (7, 4, 3), seed=0)
-        with pytest.raises(NonPositiveCount):
-            sm.draw_stratified_srswor(pop1, (0, 4, 3), seed=0)
-        for bad in ((2.7, 4, 3), (True, 4, 3), (math.nan, 4, 3), (math.inf, 4, 3)):
-            with pytest.raises(ValidationError, match="is not an integer"):
-                sm.draw_stratified_srswor(pop1, bad, seed=0)
-            with pytest.raises(ValidationError, match="is not an integer"):
-                sm.enumeration_count(pop1, bad)
+        for call in (sm.enumeration_count, sm.design_from_microdata):
+            with pytest.raises(SampleExceedsStratum):
+                call(pop1, (7, 4, 3))
+            with pytest.raises(NonPositiveCount):
+                call(pop1, (0, 4, 3))
+            for bad in ((2.7, 4, 3), (True, 4, 3), (math.nan, 4, 3), (math.inf, 4, 3)):
+                with pytest.raises(ValidationError, match="is not an integer"):
+                    call(pop1, bad)
         assert sm.enumeration_count(pop1, (3.0, 4, 3)) == sm.enumeration_count(pop1, (3, 4, 3))
 
     def test_wrong_count_of_sample_sizes(self, pop1):
         # a missing size is a plain validation error: no size exceeds its stratum
-        for call in (sm.enumeration_count, sm.draw_stratified_srswor):
+        for call in (sm.enumeration_count, sm.design_from_microdata):
             with pytest.raises(ValidationError, match="expected 3 sample sizes, got 2") as err:
                 call(pop1, (3, 4))
             assert err.value.code == "validation"
@@ -147,9 +146,9 @@ class TestDraw:
         d = sm.design_from_microdata(pop1, ds1.sample_sizes)
         m = sm.aggregate_moments(d)
         rng = np.random.default_rng(12)
-        draws = [sm.draw_stratified_srswor(pop1, ds1.sample_sizes, rng) for _ in range(4000)]
-        e0 = np.array([s.ybar_st / m.mean_y - 1.0 for s in draws])
-        e1 = np.array([s.xbar_st / m.mean_x - 1.0 for s in draws])
+        yb, xb = _draw_block(rng, pop1, ds1.sample_sizes, pop1.weights, 4000)
+        e0 = yb / m.mean_y - 1.0
+        e1 = xb / m.mean_x - 1.0
         for e in (e0, e1):
             assert abs(e.mean()) <= 3.0 * e.std(ddof=1) / math.sqrt(e.size)
 
