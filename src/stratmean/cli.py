@@ -676,7 +676,7 @@ def build_parser() -> argparse.ArgumentParser:
     estimator_flags(p)
     dual_flags(p)
     p.add_argument("--reps", type=_int_at_least(2), default=200_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--workers", type=_int_at_least(1), default=1)
     p.add_argument(
         "--strict",

@@ -151,13 +151,21 @@ def _floyd_picks(rng: np.random.Generator, N: int, m: int, count: int) -> np.nda
     Step j (N-m <= j < N) draws t uniform on 0..j and keeps t, or j where
     the row already holds t; every m-subset comes out equally likely.  The
     membership check costs O(count * m**2) comparisons.
+
+    The work is stratum-major: ``picks[i]`` holds step i for all ``count``
+    rows, so the check reduces over the outer, contiguous axis.  The random
+    numbers are one ``integers`` call of ``count`` per step, in step order,
+    the stream a row-major loop makes.  The result is transposed to a
+    C-ordered (count, m) index, so a gather summed along axis 1 adds each
+    row's units in step order; summing an (m, count) gather over axis 0
+    would change the last bits once m >= 8.
     """
-    picks = np.empty((count, m), dtype=np.intp)
+    picks = np.empty((m, count), dtype=np.intp)
     for i, j in enumerate(range(N - m, N)):
         t = rng.integers(0, j + 1, size=count)
-        held = (picks[:, :i] == t[:, None]).any(axis=1)
-        picks[:, i] = np.where(held, j, t)
-    return picks
+        held = (picks[:i] == t).any(axis=0)
+        picks[i] = np.where(held, j, t)
+    return np.ascontiguousarray(picks.T)
 
 
 def _draw_block(

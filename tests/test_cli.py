@@ -590,6 +590,14 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err == "error:usage: stratmean simulate: argument --reps: must be at least 2, got 1\n"
 
+    def test_simulate_negative_seed_is_usage_error(self, capsys):
+        # SeedSequence takes only non-negative entropy: refused by the parser
+        code, out, err = run_cli(
+            capsys, "simulate", "--data", "paper-1", "--reps", "2000", "--seed=-1"
+        )
+        assert code == 2 and out == ""
+        assert err == "error:usage: stratmean simulate: argument --seed: must be at least 0, got -1\n"
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
     @pytest.mark.parametrize(
         "command, flag",

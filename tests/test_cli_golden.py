@@ -50,6 +50,10 @@ def golden_commands() -> list[list[str]]:
         commands.append(
             ["simulate", "--data", data, "--reps", "2000", "--seed", "3", "--full-precision"]
         )
+    # three replication blocks, the last one partial
+    commands.append(
+        ["simulate", "--data", "paper-2", "--reps", "9000", "--seed", "3", "--full-precision"]
+    )
     return commands
 
 

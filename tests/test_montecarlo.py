@@ -9,7 +9,7 @@ import pytest
 
 import stratmean as sm
 from stratmean import EstimatorKind as K
-from stratmean.montecarlo import _draw_block, _merge_moments, _moments
+from stratmean.montecarlo import _BLOCK, _draw_block, _merge_moments, _moments
 from stratmean.errors import (
     DegenerateStratum,
     NonPositiveCount,
@@ -184,6 +184,44 @@ class TestFloydDraw:
         share = 1.0 / math.comb(N, n)
         for f in freq.values():
             assert abs(f / share - 1.0) <= 0.025
+
+
+def _row_major_floyd_picks(rng, N, m, count):
+    """The row-major Floyd draw: the reference for the random stream and its picks."""
+    picks = np.empty((count, m), dtype=np.intp)
+    for i, j in enumerate(range(N - m, N)):
+        t = rng.integers(0, j + 1, size=count)
+        held = (picks[:, :i] == t[:, None]).any(axis=1)
+        picks[:, i] = np.where(held, j, t)
+    return picks
+
+
+def _row_major_sample_means(rng, stratum, n, count):
+    """One stratum's block of sample means, summed as the row-major draw summed them."""
+    m = min(n, stratum.N - n)
+    left_out = m < n
+    sign = -1.0 if left_out else 1.0
+    picks = _row_major_floyd_picks(rng, stratum.N, m, count)
+    return [
+        (left_out * float(v.sum()) + sign * v[picks].sum(axis=1)) / n
+        for v in (stratum.y, stratum.x)
+    ]
+
+
+@pytest.mark.parametrize(
+    "N, n",
+    [(6, 3), (7, 5), (12, 4), (7, 1), (985, 6), (2196, 8), (1020, 11), (6, 6)],
+)
+def test_draw_keeps_row_major_stream_and_bits(N, n):
+    """Same random numbers consumed, same picks, same summed bits per row."""
+    values = np.random.default_rng(N * 100 + n).standard_normal((2, N))
+    stratum = sm.MicrodataStratum(1, 1e3 + 37.0 * values[0], 1e5 * values[1])
+    rng = np.random.default_rng(N + n)
+    yb, xb = _draw_block(rng, sm.Microdata((stratum,)), (n,), (1.0,), _BLOCK)
+    ref = np.random.default_rng(N + n)
+    yb_ref, xb_ref = _row_major_sample_means(ref, stratum, n, _BLOCK)
+    assert np.array_equal(yb, yb_ref) and np.array_equal(xb, xb_ref)
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_merged_block_moments_match_one_pass():
