@@ -282,12 +282,20 @@ def validate_design(design: DesignSummary) -> DesignSummary:
     return design
 
 
+def _centred_sum(a: np.ndarray, b: np.ndarray) -> float:
+    """Sum of (a - mean(a)) * (b - mean(b)) over all elements by numpy's pairwise
+    ``np.add.reduce`` (Higham 2002, 4.2), never BLAS: thread-count independent."""
+    d = a - a.mean()
+    d *= d if b is a else b - b.mean()
+    return float(np.add.reduce(d, axis=None))
+
+
 def summarize_stratum(stratum: MicrodataStratum, n: int) -> StratumSummary:
     """Compute a StratumSummary from the raw values of one stratum.
 
     Means are arithmetic means; variances and the covariance use divisor
-    N - 1.  ``n`` is the planned sample size for the stratum, checked by
-    ``StratumSummary``.
+    N - 1, their centred sums formed by ``_centred_sum``.  ``n`` is the
+    planned sample size for the stratum, checked by ``StratumSummary``.
     """
     N = stratum.N
     if N < 2:
@@ -296,11 +304,9 @@ def summarize_stratum(stratum: MicrodataStratum, n: int) -> StratumSummary:
         )
     mean_y = float(stratum.y.mean())
     mean_x = float(stratum.x.mean())
-    dy = stratum.y - mean_y
-    dx = stratum.x - mean_x
-    var_y = float(dy @ dy) / (N - 1)
-    var_x = float(dx @ dx) / (N - 1)
-    cov = float(dx @ dy) / (N - 1)
+    var_y = _centred_sum(stratum.y, stratum.y) / (N - 1)
+    var_x = _centred_sum(stratum.x, stratum.x) / (N - 1)
+    cov = _centred_sum(stratum.x, stratum.y) / (N - 1)
     return StratumSummary(stratum.index, N, n, mean_y, mean_x, var_y, var_x, cov)
 
 

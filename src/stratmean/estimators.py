@@ -64,7 +64,7 @@ class EstimatorKind(enum.Enum):
         return self in (EstimatorKind.T3, EstimatorKind.T4)
 
 
-#: CLI / table row names, in the canonical comparison order.
+#: CLI names, in enum order; the table order is ``mse.default_table_specs``.
 KIND_BY_NAME = {k.value: k for k in EstimatorKind}
 
 

@@ -34,9 +34,11 @@ from .design import (
     Microdata,
     MicrodataStratum,
     StratumSummary,
+    _centred_sum,
     aggregate_moments,
     checked_sample_sizes,
     design_from_microdata,
+    summarize_stratum,
 )
 from .errors import DegenerateStratum, InfeasibleMoments
 from .estimators import EstimatorSpec, estimate_many
@@ -89,35 +91,32 @@ class EmpiricalReport:
         return all(r.verdict == "ok" for r in self.rows)
 
 
-def _match_bivariate(rng: np.random.Generator, s: StratumSummary) -> tuple[np.ndarray, np.ndarray]:
-    """Values whose sample moments (divisor N-1) equal the targets exactly.
+def _lower_factor(s: StratumSummary) -> tuple[float, float, float]:
+    """(f11, f21, f22), the lower Cholesky factor of the covariance of (x, y);
+    f22 = 0 where 1 - rho**2 < 1e-12, and a zero variance gives a zero column."""
+    f11 = s.sd_x
+    f21 = s.cov_xy * (1.0 / f11) if f11 > 0.0 else 0.0
+    if s.var_y - f21 * f21 < 1e-12 * s.var_y:
+        return f11, math.copysign(s.sd_y, f21), 0.0
+    return f11, f21, math.sqrt(s.var_y - f21 * f21)
 
-    Centred normal draws are whitened to identity sample covariance, then
-    coloured by the lower Cholesky factor of the target covariance matrix
-    of (x, y).  The factor is written out as LAPACK computes it, so a zero
-    variance leaves a zero column (a constant variate) and |rho| = 1 leaves
-    y an exact affine image of x.
-    """
-    l11 = s.sd_x
-    l21 = s.cov_xy * (1.0 / l11) if l11 > 0.0 else 0.0
-    if s.var_y - l21 * l21 < 1e-12 * s.var_y:
-        # 1 - rho**2 < 1e-12: perfectly (or indistinguishably) correlated
-        l21, l22 = math.copysign(s.sd_y, l21), 0.0
-    else:
-        l22 = math.sqrt(s.var_y - l21 * l21)
-    color = np.array([[l11, 0.0], [l21, l22]])
+
+def _match_bivariate(rng: np.random.Generator, s: StratumSummary) -> tuple[np.ndarray, np.ndarray]:
+    """Values whose sample moments (divisor N-1) equal the targets exactly:
+    centred normal draws, whitened by the ``_lower_factor`` of their own
+    ``summarize_stratum`` and coloured by the target's (no BLAS or LAPACK)."""
+    l11, l21, l22 = _lower_factor(s)
     for _ in range(16):
         z = rng.standard_normal((s.N, 2))
-        z = z - z.mean(axis=0)
-        empirical = (z.T @ z) / (s.N - 1)
-        try:
-            chol = np.linalg.cholesky(empirical)
-        except np.linalg.LinAlgError:
-            continue
-        white = np.linalg.solve(chol, z.T).T
-        values = white @ color.T
-        values = values - values.mean(axis=0)
-        return values[:, 1] + s.mean_y, values[:, 0] + s.mean_x
+        zx, zy = (z - z.mean(axis=0)).T
+        drawn = summarize_stratum(MicrodataStratum(s.index, zy, zx), s.n)
+        f11, f21, f22 = _lower_factor(drawn)
+        if f11 > 0.0 and f22 > 0.0:
+            wx = zx / f11
+            wy = (zy - f21 * wx) / f22
+            x = l11 * wx
+            y = l21 * wx + l22 * wy
+            return y - y.mean() + s.mean_y, x - x.mean() + s.mean_x
     raise InfeasibleMoments("could not draw a full-rank stratum")
 
 
@@ -199,9 +198,7 @@ def _moments(values: np.ndarray) -> tuple[int, float, float]:
     """(count, mean, centred sum of squares) of one block's values."""
     if values.size == 0:
         return 0, 0.0, 0.0
-    mean = float(values.mean())
-    dev = values - mean
-    return values.size, mean, float((dev * dev).sum())
+    return values.size, float(values.mean()), _centred_sum(values, values)
 
 
 def _merge_moments(
@@ -380,14 +377,10 @@ def enumerate_exact_moments(
         shape[h] = my.size
         yb = yb + w * my.reshape(shape)
         xb = xb + w * mx.reshape(shape)
-    mean_y = float(yb.mean())
-    mean_x = float(xb.mean())
-    dy = yb - mean_y
-    dx = xb - mean_x
     return CombinedMoments(
-        mean_y=mean_y,
-        mean_x=mean_x,
-        var_ybar=float((dy * dy).mean()),
-        var_xbar=float((dx * dx).mean()),
-        cov_xybar=float((dx * dy).mean()),
+        mean_y=float(yb.mean()),
+        mean_x=float(xb.mean()),
+        var_ybar=_centred_sum(yb, yb) / total,
+        var_xbar=_centred_sum(xb, xb) / total,
+        cov_xybar=_centred_sum(xb, yb) / total,
     )

@@ -3,7 +3,11 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -701,3 +705,44 @@ class TestExitCodes:
     def test_error_lines_are_single_line(self, capsys):
         code, _, err = run_cli(capsys, "moments", "--data", "paper-9")
         assert err.count("\n") == 1 and err.endswith("\n")
+
+
+#: Prints what one process computes from a 60,000-unit stratum: the
+#: full-precision ``moments`` of a microdata CSV, then a digest of the units
+#: that ``synthesize_population`` builds for a summary-json.
+_LARGE_STRATUM_DIGEST = """
+import hashlib, sys
+from stratmean import cli, synthesize_population
+code = cli.main(["moments", "--data", sys.argv[1], "--format", "microdata-csv", "--full-precision"])
+pop = synthesize_population(cli.ingest(sys.argv[2]), seed=5)
+print(hashlib.sha256(b"".join(s.y.tobytes() + s.x.tobytes() for s in pop.strata)).hexdigest())
+sys.exit(code)
+"""
+
+
+def test_large_stratum_output_independent_of_blas_threads(tmp_path):
+    """Stratum moments and synthesis add their sums without BLAS, so one and
+    two BLAS threads print the same bytes; a threaded dot product does not."""
+    N = 60_000
+    rng = np.random.default_rng(11)
+    y, x = rng.normal(1000.0, 10.0, N).tolist(), rng.normal(3000.0, 40.0, N).tolist()
+    frame = tmp_path / "frame.csv"
+    frame.write_text("stratum,y,x\n" + "".join(f"1,{a!r},{b!r}\n" for a, b in zip(y, x)))
+    (tmp_path / "frame.csv.n.json").write_text('{"1": 50}')
+    design = tmp_path / "design.json"
+    design.write_text(json.dumps({"strata": [
+        {"N": N, "n": 50, "mean_y": 1000.0, "mean_x": 3000.0,
+         "var_y": 100.0, "var_x": 1600.0, "rho": 0.8},
+    ]}))
+    src = str(Path(sm.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        done = subprocess.run(
+            [sys.executable, "-c", _LARGE_STRATUM_DIGEST, str(frame), str(design)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        outputs.append(done.stdout)
+    assert outputs[0].startswith("label") and outputs[0].count("\n") == 3
+    assert outputs[0] == outputs[1]

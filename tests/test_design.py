@@ -248,11 +248,13 @@ def test_microdata_roundtrip_bit_for_bit():
         mean_y = float(y.mean())
         mean_x = float(x.mean())
         dy, dx = y - mean_y, x - mean_x
+        # centred sums of products by numpy's pairwise add, never BLAS
         expected.append(
             sm.StratumSummary(
                 idx, N, n, mean_y, mean_x,
-                float(dy @ dy) / (N - 1), float(dx @ dx) / (N - 1),
-                float(dx @ dy) / (N - 1),
+                float(np.add.reduce(dy * dy)) / (N - 1),
+                float(np.add.reduce(dx * dx)) / (N - 1),
+                float(np.add.reduce(dx * dy)) / (N - 1),
             )
         )
     data = sm.Microdata(tuple(strata))

@@ -326,3 +326,15 @@ def test_arithmetic_failure_is_computation_error(call, mean_y, var_x, cov_xy, ca
         call(m)
     assert err.value.code == "computation" and err.value.exit_code == 4
     assert str(err.value).startswith(cause)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_indefinite_surface_is_flagged():
+    # relative variances of order one make the T4 surface indefinite, so the
+    # stationary point (k1, k2) = (2, -6) that optimum() returns is a saddle
+    s = sm.StratumSummary(1, N=2, n=1, mean_y=1.0, mean_x=0.5, var_y=1.0,
+                          var_x=1.0, cov_xy=0.0)
+    m = sm.aggregate_moments(sm.DesignSummary((s,)))
+    form = sm.quadratic_form(K.T4, sm.ShapeParams(p=1.0, a=1.0, b=0.0), m)
+    assert (form.ybar_sq + form.a) * form.b - form.e * form.e < 0.0
+    assert analyze(K.T4, m).singular_system
