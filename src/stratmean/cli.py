@@ -32,9 +32,11 @@ scanned again line by line, to name the first bad line in the error.
 
 Every failure prints one ``error:<code>: message`` line on stderr.  Exit
 codes: 0 ok, 2 usage (a bad or missing flag, a numeric flag that is not a
-finite number, an unknown or empty ``--estimators`` list, or a partial set
-of constants such as ``--p`` without ``--a``/``--b``), 3 data,
-4 computation, 5 failed strict verdict.
+finite number, an unknown or empty ``--estimators`` list, a partial set
+of constants such as ``--p`` without ``--a``/``--b``, or an ``--out`` that
+cannot be written), 3 data (an input that cannot be read included),
+4 computation (a population too large to allocate included), 5 failed
+strict verdict.
 """
 
 from __future__ import annotations
@@ -65,13 +67,7 @@ from .design import (
 from .errors import (
     ParseError, SchemaError, StratmeanError, UnknownDataset, UsageError, ValidationError
 )
-from .estimators import (
-    KIND_BY_NAME,
-    EstimatorKind,
-    EstimatorSpec,
-    ShapeParams,
-    estimate as estimate_point,
-)
+from .estimators import EstimatorKind, EstimatorSpec, ShapeParams, estimate as estimate_point
 from .mse import analyze, default_table_specs, efficiency_table, resolve_spec
 
 # ---------------------------------------------------------------------------
@@ -109,12 +105,22 @@ _DOC_KEYS = {"label", "known_mean_x", "strata"}
 _STRATUM_KEYS = {"index", "N", "n", "mean_y", "mean_x", "var_y", "var_x", "cov_xy", "rho"}
 
 
+def _unreadable(path: str | Path, exc: OSError | RecursionError) -> ParseError:
+    """The ParseError for a file that cannot be opened, or a JSON document
+    nested too deeply for ``json`` to parse."""
+    if isinstance(exc, FileNotFoundError):
+        return ParseError(f"{path}: file not found")
+    if isinstance(exc, RecursionError):
+        return ParseError(f"{path}: nested too deeply")
+    return ParseError(f"{path}: {exc.strerror or exc}")
+
+
 def _summary_from_json(path: str) -> DesignSummary:
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh, parse_int=_json_int)
-    except FileNotFoundError:
-        raise ParseError(f"{path}: file not found") from None
+    except (OSError, RecursionError) as exc:
+        raise _unreadable(path, exc) from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from None
     except UnicodeDecodeError:
@@ -186,8 +192,8 @@ def _open_csv(path: str):
     """
     try:
         return open(path, newline="", encoding="utf-8", errors="replace")
-    except FileNotFoundError:
-        raise ParseError(f"{path}: file not found") from None
+    except OSError as exc:
+        raise _unreadable(path, exc) from None
 
 
 def _microdata_from_csv(path: str) -> tuple[Microdata, dict[int, int]]:
@@ -200,6 +206,8 @@ def _microdata_from_csv(path: str) -> tuple[Microdata, dict[int, int]]:
         if not all(_LABEL.fullmatch(k) for k in sizes_raw):
             raise ValueError("labels take the CSV's integer syntax")
         sizes = {int(k): _count(v) for k, v in sizes_raw.items()}
+    except (OSError, RecursionError) as exc:
+        raise _unreadable(sidecar, exc) from None
     except (json.JSONDecodeError, TypeError, ValueError, AttributeError):
         raise SchemaError(
             f"{sidecar}: must map stratum label to sample size"
@@ -349,7 +357,10 @@ def _write_report(
     """Render ``rows`` in the requested format to ``--out`` or stdout."""
     content = Emitter(args.output_format, args.full_precision).render(rows, header_lines)
     if args.out:
-        Path(args.out).write_text(content, encoding="utf-8")
+        try:
+            Path(args.out).write_text(content, encoding="utf-8")
+        except OSError as exc:
+            raise UsageError(f"--out {args.out}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(content)
 
@@ -360,28 +371,19 @@ def _write_report(
 
 def _specs(args: argparse.Namespace) -> list[EstimatorSpec]:
     """One spec per ``--estimators`` kind (default: the nine table rows),
-    carrying the constants given."""
-    kinds = args.estimators or [spec.kind for spec in default_table_specs()]
-    _require_whole_set(
-        [kind.value for kind in kinds if kind.uses_mixing],
-        {"p": args.p, "a": args.a, "b": args.b},
-    )
-    _require_whole_set(
-        [kind.value for kind in kinds if kind.is_dual],
-        {"k1": args.k1, "k2": args.k2},
-    )
+    carrying the constants given.  The constants that a selected kind takes
+    from one group come all together or not at all."""
+    kinds = args.estimators or list(EstimatorKind)
+    for group in (("p", "a", "b"), ("k1", "k2")):
+        users = [kind.value for kind in kinds if group[0] in kind.constant_names]
+        given = [getattr(args, name) is not None for name in group]
+        if users and any(given) and not all(given):
+            flags = ", ".join(f"--{name}" for name in group)
+            raise UsageError(f"{', '.join(users)}: give all of {flags}, or none for the default")
     shape = None
     if any(v is not None for v in (args.w, args.p, args.a, args.b)):
         shape = ShapeParams(w=args.w, p=args.p, a=args.a, b=args.b)
     return [EstimatorSpec(kind, shape=shape, k1=args.k1, k2=args.k2) for kind in kinds]
-
-
-def _require_whole_set(users: list[str], flags: dict[str, float | None]) -> None:
-    """Constants that the ``users`` kinds need come all together or not at all."""
-    given = [v is not None for v in flags.values()]
-    if users and any(given) and not all(given):
-        names = ", ".join(f"--{name}" for name in flags)
-        raise UsageError(f"{', '.join(users)}: give all of {names}, or none for the default")
 
 
 def _constant_columns(constants: dict[str, float]) -> dict:
@@ -583,8 +585,8 @@ def _estimator_kinds(text: str) -> list[EstimatorKind]:
         if not name:
             continue
         try:
-            kinds.append(KIND_BY_NAME[name])
-        except KeyError:
+            kinds.append(EstimatorKind(name))
+        except ValueError:
             known = ", ".join(k.value for k in EstimatorKind)
             raise argparse.ArgumentTypeError(
                 f"unknown estimator {name!r}; one of: {known}"
@@ -698,6 +700,9 @@ def main(argv: list[str] | None = None) -> int:
         return exc.exit_code
     except ValueError as exc:
         print(f"error:computation: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError as exc:  # numpy's message names the failed allocation
+        print(f"error:computation: out of memory: {exc}", file=sys.stderr)
         return 4
 
 

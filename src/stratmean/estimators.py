@@ -30,15 +30,17 @@ from .errors import NonPositiveBase, ZeroDenominator
 
 
 class EstimatorKind(enum.Enum):
-    UNBIASED = "unbiased"
-    COMBINED_RATIO = "ratio"
-    COMBINED_PRODUCT = "product"
+    """The nine estimators, declared in the comparison table's order."""
+
     T1 = "t1"
     T2 = "t2"
     T3 = "t3"
     T4 = "t4"
     T5 = "t5"
     T6 = "t6"
+    COMBINED_RATIO = "ratio"
+    COMBINED_PRODUCT = "product"
+    UNBIASED = "unbiased"
 
     @property
     def is_dual(self) -> bool:
@@ -63,9 +65,19 @@ class EstimatorKind(enum.Enum):
         """True when the transform multiplies the whole k1/k2 combination."""
         return self in (EstimatorKind.T3, EstimatorKind.T4)
 
+    @property
+    def shape_names(self) -> tuple[str, ...]:
+        """The ``ShapeParams`` fields the kind's transform takes."""
+        if self.uses_exponent:
+            return ("w",)
+        if self.uses_mixing:
+            return ("p", "a", "b")
+        return ()
 
-#: CLI names, in enum order; the table order is ``mse.default_table_specs``.
-KIND_BY_NAME = {k.value: k for k in EstimatorKind}
+    @property
+    def constant_names(self) -> tuple[str, ...]:
+        """Every constant the kind takes, shape first, by its flag name."""
+        return self.shape_names + (("k1", "k2") if self.is_dual else ())
 
 
 @dataclass(frozen=True)
@@ -99,10 +111,9 @@ class ShapeParams:
         return (p * p * (a - b) ** 2 + p * (b * b - a * a + 2.0 * (a - b))) / 2.0  # type: ignore[operator]
 
     def require(self, kind: EstimatorKind) -> "ShapeParams":
-        if kind.uses_exponent and self.w is None:
-            raise ValueError(f"{kind.value} requires shape constant w")
-        if kind.uses_mixing and None in (self.p, self.a, self.b):
-            raise ValueError(f"{kind.value} requires shape constants (p, a, b)")
+        names = kind.shape_names
+        if any(getattr(self, name) is None for name in names):
+            raise ValueError(f"{kind.value} requires shape constants ({', '.join(names)})")
         return self
 
 
@@ -126,24 +137,11 @@ class EstimatorSpec:
         return self.kind.value
 
     def constants(self) -> dict[str, float]:
-        """The constants the kind actually uses, keyed by their flag names."""
-        out: dict[str, float] = {}
-        if self.shape is not None:
-            names: tuple[str, ...] = ()
-            if self.kind.uses_exponent:
-                names = ("w",)
-            elif self.kind.uses_mixing:
-                names = ("p", "a", "b")
-            for name in names:
-                value = getattr(self.shape, name)
-                if value is not None:
-                    out[name] = value
-        if self.kind.is_dual:
-            if self.k1 is not None:
-                out["k1"] = self.k1
-            if self.k2 is not None:
-                out["k2"] = self.k2
-        return out
+        """The set constants among ``kind.constant_names``, keyed by name."""
+        given = {**vars(self.shape or ShapeParams()), "k1": self.k1, "k2": self.k2}
+        return {
+            name: given[name] for name in self.kind.constant_names if given[name] is not None
+        }
 
     def dual_constants(self) -> tuple[float, float]:
         """(k1, k2) of a resolved spec; (1, 0) for the kinds without them."""
@@ -170,9 +168,7 @@ def transform_coefficients(
         return -1.0, 1.0
     if kind is EstimatorKind.COMBINED_PRODUCT:
         return 1.0, 0.0
-    if shape is None:
-        raise ValueError(f"{kind.value} requires shape constants")
-    shape.require(kind)
+    shape = (shape or ShapeParams()).require(kind)
     if kind.uses_exponent:
         w = shape.w
         return -w, -w * (w - 1.0) / 2.0  # type: ignore[operator]

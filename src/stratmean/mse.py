@@ -260,19 +260,8 @@ def analyze(spec: EstimatorSpec, m: CombinedMoments) -> MseResult:
 
 
 def default_table_specs() -> tuple[EstimatorSpec, ...]:
-    """The nine-row comparison: T1..T6 at resolved constants plus baselines."""
-    kinds = (
-        EstimatorKind.T1,
-        EstimatorKind.T2,
-        EstimatorKind.T3,
-        EstimatorKind.T4,
-        EstimatorKind.T5,
-        EstimatorKind.T6,
-        EstimatorKind.COMBINED_RATIO,
-        EstimatorKind.COMBINED_PRODUCT,
-        EstimatorKind.UNBIASED,
-    )
-    return tuple(EstimatorSpec(kind) for kind in kinds)
+    """The nine-row comparison: one unresolved spec per kind, in table order."""
+    return tuple(EstimatorSpec(kind) for kind in EstimatorKind)
 
 
 def efficiency_table(

@@ -629,6 +629,13 @@ class TestExitCodes:
         assert err.startswith("error:usage: stratmean mse: argument --estimators: ")
         assert message in err and err.count("\n") == 1
 
+    def test_unknown_estimator_lists_names_in_table_order(self, capsys):
+        code, _, err = run_cli(capsys, "mse", "--data", "paper-1", "--estimators", "t1,T7")
+        assert code == 2
+        assert err.endswith(
+            "unknown estimator 't7'; one of: t1, t2, t3, t4, t5, t6, ratio, product, unbiased\n"
+        )
+
     def test_validation_error_exit(self, capsys, tmp_path):
         doc = json.loads(json.dumps(SUMMARY_DOC))
         doc["strata"][0]["rho"] = 1.2
@@ -705,6 +712,56 @@ class TestExitCodes:
     def test_error_lines_are_single_line(self, capsys):
         code, _, err = run_cli(capsys, "moments", "--data", "paper-9")
         assert err.count("\n") == 1 and err.endswith("\n")
+
+    @pytest.mark.parametrize(
+        "case", ["summary-dir", "csv-dir", "sidecar-dir", "deep-json"]
+    )
+    def test_unreadable_input_is_parse_error(self, capsys, tmp_path, case):
+        # a directory stands in for every OSError: root may read any file
+        data, fmt, bad, reason = tmp_path / "in", "summary-json", None, "Is a directory"
+        if case == "summary-dir":
+            data.mkdir()
+        elif case == "csv-dir":
+            fmt = "microdata-csv"
+            data.mkdir()
+            Path(f"{data}.n.json").write_text(json.dumps(GOOD_SIZES))
+        elif case == "sidecar-dir":
+            fmt, bad = "microdata-csv", Path(f"{data}.n.json")
+            data.write_text("stratum,y,x\n1,1,2\n")
+            bad.mkdir()
+        else:
+            data.write_text("[" * 100_000)
+            reason = "nested too deeply"
+        code, out, err = run_cli(capsys, "moments", "--data", str(data), "--format", fmt)
+        assert code == 3 and out == ""
+        assert err == f"error:parse: {bad or data}: {reason}\n"
+
+    @pytest.mark.parametrize("target", ["missing/report.txt", "."])
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path, target):
+        out_path = tmp_path / target
+        code, out, err = run_cli(capsys, "moments", "--data", "paper-1", "--out", str(out_path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error:usage: --out {out_path}: ") and err.count("\n") == 1
+
+    def test_population_too_large_is_computation_error(self, capsys, tmp_path, monkeypatch):
+        doc = json.loads(json.dumps(SUMMARY_DOC))
+        doc["strata"][0]["N"] = 10**12
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+
+        class NoMemory:
+            """A generator whose draws fail as numpy's would on 10**12 units."""
+
+            def standard_normal(self, size):
+                raise MemoryError(f"Unable to allocate an array with shape {size}")
+
+        monkeypatch.setattr(cli.montecarlo.np.random, "default_rng", lambda seed=None: NoMemory())
+        code, out, err = run_cli(capsys, "simulate", "--data", str(path), "--reps", "2")
+        assert code == 4 and out == ""
+        assert err == (
+            "error:computation: out of memory: "
+            "Unable to allocate an array with shape (1000000000000, 2)\n"
+        )
 
 
 #: Prints what one process computes from a 60,000-unit stratum: the

@@ -229,3 +229,18 @@ def test_missing_constants_raise():
         sm.estimate(sm.EstimatorSpec(K.T3, sm.ShapeParams(w=1.0)), *stats(), MEAN_X)
     with pytest.raises(ValueError):
         estimate(K.T1, stats(), sm.ShapeParams())
+
+
+def test_kinds_declared_in_table_order():
+    assert [s.kind for s in sm.default_table_specs()] == list(K)
+    assert [k.value for k in K] == [
+        "t1", "t2", "t3", "t4", "t5", "t6", "ratio", "product", "unbiased",
+    ]
+
+
+@pytest.mark.parametrize("kind", list(K))
+def test_constants_keyed_by_constant_names(kind):
+    # every constant is given; each kind keeps the ones it takes, in order
+    every = sm.EstimatorSpec(kind, sm.ShapeParams(w=2.0, p=1.0, a=0.5, b=0.25), k1=0.9, k2=0.1)
+    assert tuple(every.constants()) == kind.constant_names
+    assert sm.EstimatorSpec(kind).constants() == {}
