@@ -43,8 +43,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
+import os
 import re
 import sys
 import warnings
@@ -349,6 +351,23 @@ class Emitter:
         for r in table:
             lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
         return "\n".join(lines) + "\n"
+
+
+def _check_out(path: str | None) -> None:
+    """Refuse an ``--out`` that cannot be written before any work is done:
+    its parent must be an existing directory and it must not be one."""
+    if path is None:
+        return
+    target = Path(path)
+    if target.is_dir():
+        code = errno.EISDIR
+    elif not target.parent.exists():
+        code = errno.ENOENT
+    elif not target.parent.is_dir():
+        code = errno.ENOTDIR
+    else:
+        return
+    raise UsageError(f"--out {path}: {os.strerror(code)}")
 
 
 def _write_report(
@@ -692,6 +711,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        _check_out(args.out)
         return args.handler(args)
     except SystemExit as exc:  # --help prints to stdout and exits 0
         return int(exc.code or 0)

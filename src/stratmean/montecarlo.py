@@ -4,7 +4,9 @@ Synthesizes finite populations whose stratum moments match a target design
 exactly, replicates stratified SRSWOR draws, and compares the empirical
 bias/MSE of every estimator against the first-order formulas.  Exhaustive
 enumeration of all samples is available where the combination count is
-feasible, giving exact design moments instead of simulated ones.
+feasible, giving exact design moments instead of simulated ones.  It
+streams the samples in chunks of at most ``_CHUNK``, in one fixed order, so
+its memory is bounded by the chunk and not by the sample count.
 
 A population is a ``design.Microdata``: every public function here takes
 one, and checks its sample sizes with ``design.checked_sample_sizes``.  It
@@ -22,7 +24,8 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations
+from functools import reduce
+from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -45,6 +48,12 @@ from .estimators import EstimatorSpec, estimate_many
 
 #: Replication block size; part of the random-stream definition.
 _BLOCK = 4096
+
+#: Most samples in one chunk of the exact enumeration; fixes its sum order.
+_CHUNK = 1 << 14
+
+#: (count, means, centred sums) of a block of samples; see ``_moments``.
+_Moments = tuple[int, list[float], list[float]]
 
 #: Agreement policy applied by ``replicate`` (recorded in every report).
 AGREEMENT_POLICY = (
@@ -194,30 +203,43 @@ def _draw_block(
     return yb, xb
 
 
-def _moments(values: np.ndarray) -> tuple[int, float, float]:
-    """(count, mean, centred sum of squares) of one block's values."""
-    if values.size == 0:
-        return 0, 0.0, 0.0
-    return values.size, float(values.mean()), _centred_sum(values, values)
+def _moments(*variates: np.ndarray) -> _Moments:
+    """(count, means, centred sums) of one block of equally long variates.
 
-
-def _merge_moments(
-    a: tuple[int, float, float], b: tuple[int, float, float]
-) -> tuple[int, float, float]:
-    """Pool two (count, mean, centred sum of squares) triples.
-
-    The pairwise update of Chan, Golub & LeVeque (1983): no sum of raw
-    squares is formed, so a large mean does not swamp the spread.
+    The centred sums are ``_centred_sum(u_i, u_j)`` for i <= j in row order:
+    [ss] for one variate, [yy, yx, xx] for two.
     """
-    na, mean_a, ss_a = a
-    nb, mean_b, ss_b = b
+    k = len(variates)
+    if variates[0].size == 0:
+        return 0, [0.0] * k, [0.0] * (k * (k + 1) // 2)
+    return (
+        variates[0].size,
+        [float(u.mean()) for u in variates],
+        [_centred_sum(u, w) for i, u in enumerate(variates) for w in variates[i:]],
+    )
+
+
+def _merge_moments(a: _Moments, b: _Moments) -> _Moments:
+    """Pool two ``_moments`` states of the same variates.
+
+    The pairwise update of Chan, Golub & LeVeque (1983), co-moments
+    included: no sum of raw products is formed, so a large mean does not
+    swamp the spread.
+    """
+    na, means_a, sums_a = a
+    nb, means_b, sums_b = b
     if nb == 0:
         return a
     if na == 0:
         return b
     n = na + nb
-    delta = mean_b - mean_a
-    return n, mean_a + delta * nb / n, ss_a + ss_b + delta * delta * na * nb / n
+    delta = [mb - ma for ma, mb in zip(means_a, means_b)]
+    products = [d * e for i, d in enumerate(delta) for e in delta[i:]]
+    return (
+        n,
+        [ma + d * nb / n for ma, d in zip(means_a, delta)],
+        [sa + sb + p * na * nb / n for sa, sb, p in zip(sums_a, sums_b, products)],
+    )
 
 
 def replicate(
@@ -275,15 +297,15 @@ def replicate(
     rows = []
     for i, (spec, theo) in enumerate(zip(resolved, theory)):
         errors: dict[str, int] = {}
-        pooled_v = pooled_q = (0, 0.0, 0.0)
+        pooled_v = pooled_q = _moments(np.empty(0))
         for partials in block_results:  # fixed block order: deterministic sums
             errs, block_v, block_q = partials[i]
             for code, cnt in errs.items():
                 errors[code] = errors.get(code, 0) + cnt
             pooled_v = _merge_moments(pooled_v, block_v)
             pooled_q = _merge_moments(pooled_q, block_q)
-        valid, mean_v, ss_v = pooled_v
-        _, emp_mse, ss_q = pooled_q
+        valid, (mean_v,), (ss_v,) = pooled_v
+        _, (emp_mse,), (ss_q,) = pooled_q
         if valid < 2:
             raise ValueError(
                 f"{spec.label}: only {valid} valid replications; cannot summarize"
@@ -333,9 +355,67 @@ def replicate(
     )
 
 
-def _combination_means(values: np.ndarray, nh: int) -> np.ndarray:
-    idx = np.array(list(combinations(range(values.size), nh)))
-    return values[idx].mean(axis=1)
+def _subset_sums(v: np.ndarray, k: int) -> np.ndarray:
+    """Sums of the k-subsets of ``v`` in ``itertools.combinations`` order.
+
+    The j-subsets of v[i:] are v[i] plus each (j-1)-subset of v[i+1:],
+    followed by the j-subsets of v[i+1:].  So the sums over a suffix are
+    the tail of those over a longer one, and size j, over v[m-j:], is built
+    from size j - 1 in N - m + 1 slices.  As in ``_draw_block``,
+    m = min(k, N - k): for m < k the sums are the total minus those of the
+    m left-out units, in reverse order, since complements reverse the order.
+    """
+    N = v.size
+    m = min(k, N - k)
+    level = v[m - 1:] if m else np.zeros(1)
+    for j in range(2, m + 1):
+        out = np.empty(math.comb(N - m + j, j))
+        pos = 0
+        for i in range(m - j, N - j + 1):
+            tail = level[level.size - math.comb(N - i - 1, j - 1):]
+            np.add(v[i], tail, out=out[pos:pos + tail.size])
+            pos += tail.size
+        level = out
+    return float(v.sum()) - level[::-1] if m < k else level
+
+
+def _enumerated_means(pop: Microdata, n: tuple[int, ...]):
+    """Every sample's (ybar_st, xbar_st), in chunks of at most ``_CHUNK``.
+
+    The order is the C order of the stratum axes, the last stratum fastest,
+    each stratum's samples in ``itertools.combinations`` order.  The last
+    strata whose sample counts multiply to at most ``_CHUNK`` form one inner
+    block, broadcast once.  Each chunk adds a run of the preceding
+    stratum's samples, and the outer strata's sum, to that block.
+    """
+    terms = [
+        (w * (_subset_sums(s.y, nh) / nh), w * (_subset_sums(s.x, nh) / nh))
+        for s, nh, w in zip(pop.strata, n, pop.weights)
+    ]
+    split, size = len(terms), 1
+    while split and size * terms[split - 1][0].size <= _CHUNK:
+        split -= 1
+        size *= terms[split][0].size
+    inner_y = inner_x = np.zeros(1)
+    for ty, tx in terms[split:]:
+        inner_y = (inner_y[:, None] + ty).ravel()
+        inner_x = (inner_x[:, None] + tx).ravel()
+    if split == 0:
+        yield inner_y, inner_x
+        return
+    split -= 1  # the stratum whose samples the chunks cut into runs
+    ty, tx = terms[split]
+    rows = _CHUNK // size
+    for outer in product(*(range(t[0].size) for t in terms[:split])):
+        oy = ox = 0.0
+        for (y, x), i in zip(terms, outer):
+            oy += y[i]
+            ox += x[i]
+        for r in range(0, ty.size, rows):
+            yield (
+                ((oy + ty[r:r + rows])[:, None] + inner_y).ravel(),
+                ((ox + tx[r:r + rows])[:, None] + inner_x).ravel(),
+            )
 
 
 def enumeration_count(pop: Microdata, sample_sizes: Sequence[int]) -> int:
@@ -354,11 +434,13 @@ def enumerate_exact_moments(
 ) -> CombinedMoments:
     """Design moments of (ybar_st, xbar_st) over every possible sample.
 
-    Enumerates all per-stratum subsets, forms the full cross product of
-    combined means by broadcasting, and returns the exact enumeration
+    Forms every sample's combined means, chunk by chunk in the fixed order
+    of ``_enumerated_means``, and pools each chunk's means and centred sums
+    in that order with ``_merge_moments``.  Returns the exact enumeration
     mean/variance/covariance (population divisor: every sample equally
-    likely).  Raises ValueError when the combination count exceeds
-    ``limit``; fall back to seeded replication in that case.
+    likely).  Memory is bounded by the chunk and each stratum's own sample
+    means, not by the sample count.  Raises ValueError when the combination
+    count exceeds ``limit``; fall back to seeded replication in that case.
     """
     n = checked_sample_sizes(pop, sample_sizes)
     total = enumeration_count(pop, n)
@@ -366,21 +448,13 @@ def enumerate_exact_moments(
         raise ValueError(
             f"enumeration of {total} samples exceeds the limit of {limit}"
         )
-    weights = pop.weights
-    dims = len(pop.strata)
-    yb = np.zeros((1,) * dims)
-    xb = np.zeros((1,) * dims)
-    for h, (s, nh, w) in enumerate(zip(pop.strata, n, weights)):
-        shape = [1] * dims
-        my = _combination_means(s.y, nh)
-        mx = _combination_means(s.x, nh)
-        shape[h] = my.size
-        yb = yb + w * my.reshape(shape)
-        xb = xb + w * mx.reshape(shape)
+    _, (mean_y, mean_x), (s_yy, s_yx, s_xx) = reduce(
+        _merge_moments, (_moments(yb, xb) for yb, xb in _enumerated_means(pop, n))
+    )
     return CombinedMoments(
-        mean_y=float(yb.mean()),
-        mean_x=float(xb.mean()),
-        var_ybar=_centred_sum(yb, yb) / total,
-        var_xbar=_centred_sum(xb, xb) / total,
-        cov_xybar=_centred_sum(xb, yb) / total,
+        mean_y=mean_y,
+        mean_x=mean_x,
+        var_ybar=s_yy / total,
+        var_xbar=s_xx / total,
+        cov_xybar=s_yx / total,
     )

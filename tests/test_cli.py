@@ -743,6 +743,24 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.startswith(f"error:usage: --out {out_path}: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("target, reason", [
+        ("missing/report.txt", "No such file or directory"),
+        (".", "Is a directory"),
+        ("file/report.txt", "Not a directory"),
+    ])
+    def test_unwritable_out_refused_before_work(self, capsys, tmp_path, monkeypatch,
+                                                target, reason):
+        (tmp_path / "file").write_text("")
+
+        def replicate(*args, **kwargs):
+            raise AssertionError("simulate ran before --out was checked")
+
+        monkeypatch.setattr(cli.montecarlo, "replicate", replicate)
+        out_path = tmp_path / target
+        code, out, err = run_cli(capsys, "simulate", "--data", "paper-2", "--out", str(out_path))
+        assert code == 2 and out == ""
+        assert err == f"error:usage: --out {out_path}: {reason}\n"
+
     def test_population_too_large_is_computation_error(self, capsys, tmp_path, monkeypatch):
         doc = json.loads(json.dumps(SUMMARY_DOC))
         doc["strata"][0]["N"] = 10**12

@@ -9,7 +9,15 @@ import pytest
 
 import stratmean as sm
 from stratmean import EstimatorKind as K
-from stratmean.montecarlo import _BLOCK, _draw_block, _merge_moments, _moments
+from stratmean import montecarlo
+from stratmean.montecarlo import (
+    _BLOCK,
+    _draw_block,
+    _enumerated_means,
+    _merge_moments,
+    _moments,
+    _subset_sums,
+)
 from stratmean.errors import (
     DegenerateStratum,
     NonPositiveCount,
@@ -225,15 +233,48 @@ def test_draw_keeps_row_major_stream_and_bits(N, n):
 
 
 def test_merged_block_moments_match_one_pass():
-    """Pooling uneven blocks, an empty one included, equals the whole sample."""
-    values = 1e8 + np.random.default_rng(2).standard_normal(10_000)
-    pooled = (0, 0.0, 0.0)
-    for block in np.split(values, [3, 3, 4000, 9999]):
+    """Pooling uneven blocks, an empty one included, equals the whole sample,
+    for one variate and for two with their co-moment."""
+    rng = np.random.default_rng(2)
+    values = 1e8 + rng.standard_normal(10_000)
+    other = -3e5 + 0.5 * (values - 1e8) + rng.standard_normal(10_000)
+    cuts = [3, 3, 4000, 9999]
+    pooled = _moments(np.empty(0))
+    for block in np.split(values, cuts):
         pooled = _merge_moments(pooled, _moments(block))
-    count, mean, ss = pooled
+    count, (mean,), (ss,) = pooled
     assert count == values.size
     assert mean == pytest.approx(values.mean(), rel=1e-15)
     assert ss / (count - 1) == pytest.approx(values.var(ddof=1), rel=1e-9)
+
+    pooled = _moments(np.empty(0), np.empty(0))
+    for a, b in zip(np.split(values, cuts), np.split(other, cuts)):
+        pooled = _merge_moments(pooled, _moments(a, b))
+    count, (mean_a, mean_b), (ss_a, co, ss_b) = pooled
+    da, db = values - values.mean(), other - other.mean()
+    assert count == values.size
+    assert (mean_a, mean_b) == (pytest.approx(values.mean(), rel=1e-15),
+                                pytest.approx(other.mean(), rel=1e-15))
+    assert ss_a == pytest.approx(np.sum(da * da), rel=1e-9)
+    assert ss_b == pytest.approx(np.sum(db * db), rel=1e-9)
+    assert co == pytest.approx(np.sum(da * db), rel=1e-9)
+
+
+def _stratum(index, N, seed):
+    rng = np.random.default_rng(seed)
+    x = 300.0 + 50.0 * rng.standard_normal(N)
+    return sm.MicrodataStratum(index, 100.0 + 0.2 * x + 10.0 * rng.standard_normal(N), x)
+
+
+def _broadcast_means(pop, n):
+    """Every sample's (ybar_st, xbar_st) by one broadcast of the
+    ``itertools.combinations`` means, last stratum fastest."""
+    yb = xb = np.zeros(())
+    for s, nh, w in zip(pop.strata, n, pop.weights):
+        idx = np.array(list(itertools.combinations(range(s.N), nh)))
+        yb = np.add.outer(yb, w * s.y[idx].mean(axis=1))
+        xb = np.add.outer(xb, w * s.x[idx].mean(axis=1))
+    return yb.ravel(), xb.ravel()
 
 
 class TestEnumeration:
@@ -261,6 +302,68 @@ class TestEnumeration:
             1, np.array([1.0, 2.0, 3.0, 4.0]), np.array([-1.0, 0.0, 1.0, 0.0])),))
         with pytest.raises(ZeroAuxiliaryMean):
             sm.enumerate_exact_moments(pop, (2,))
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_subset_sums_in_combinations_order(k):
+    """Powers of two make every sum exact and distinct, so order is checked too;
+    k > 4 takes the complement path and k = 9 is a census."""
+    v = 2.0 ** np.arange(9)
+    want = [sum(c) for c in itertools.combinations(v.tolist(), k)]
+    assert _subset_sums(v, k).tolist() == want
+
+
+@pytest.mark.parametrize("case, chunk", [("ds1", 100), ("one-stratum", 50), ("census", 20)])
+def test_enumerated_means_stream_in_fixed_order(case, chunk, pop1, ds1, monkeypatch):
+    """Small chunks, cut inside a stratum's run of samples, joined in order
+    equal one broadcast of the whole cross product."""
+    if case == "ds1":
+        pop, n = pop1, ds1.sample_sizes
+    elif case == "one-stratum":
+        pop, n = sm.Microdata((_stratum(1, 9, 1),)), (4,)
+    else:  # the middle stratum is a census; the last one takes the complement
+        pop = sm.Microdata((_stratum(1, 4, 2), _stratum(2, 5, 3), _stratum(3, 7, 4)))
+        n = (2, 5, 5)
+    monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+    chunks = list(_enumerated_means(pop, n))
+    sizes = [yb.size for yb, _ in chunks]
+    total = sm.enumeration_count(pop, n)
+    first_run = total // math.comb(pop.strata[0].N, n[0]) if len(n) > 1 else total
+    assert len(chunks) > 2 and max(sizes) <= chunk and sum(sizes) == total
+    assert sizes[0] % first_run != 0  # the first chunk ends inside a run of samples
+    yb_ref, xb_ref = _broadcast_means(pop, n)
+    np.testing.assert_allclose(np.concatenate([yb for yb, _ in chunks]), yb_ref, rtol=1e-12)
+    np.testing.assert_allclose(np.concatenate([xb for _, xb in chunks]), xb_ref, rtol=1e-12)
+
+
+def _exact_agrees_with_formula(pop, n, rel=1e-9):
+    exact = sm.enumerate_exact_moments(pop, n)
+    m = sm.aggregate_moments(sm.design_from_microdata(pop, n))
+    for key in ("mean_y", "mean_x", "var_ybar", "var_xbar", "cov_xybar"):
+        assert getattr(exact, key) == pytest.approx(getattr(m, key), rel=rel), key
+
+
+def test_enumeration_memory_bounded_by_chunk(ds1):
+    """9,702,000 samples (paper-1 plus an 8-unit stratum sampled 2) peak far
+    below the 78 MB that one array of their ybar_st alone would take."""
+    extra = sm.StratumSummary.from_correlation(
+        4, N=8, n=2, mean_y=110.0, mean_x=330.0, var_y=150.0, var_x=2200.0, rho=0.8
+    )
+    design = sm.DesignSummary(ds1.strata + (extra,))
+    pop = sm.synthesize_population(design, seed=7)
+    assert sm.enumeration_count(pop, design.sample_sizes) == 9_702_000
+    tracemalloc.start()
+    try:
+        _exact_agrees_with_formula(pop, design.sample_sizes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
+def test_enumeration_of_one_large_stratum():
+    """40 choose 5: 658,008 samples of a single stratum."""
+    _exact_agrees_with_formula(sm.Microdata((_stratum(1, 40, 5),)), (5,))
 
 
 @pytest.fixture(scope="module")
