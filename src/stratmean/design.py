@@ -282,19 +282,25 @@ def validate_design(design: DesignSummary) -> DesignSummary:
     return design
 
 
-def _centred_sum(a: np.ndarray, b: np.ndarray) -> float:
-    """Sum of (a - mean(a)) * (b - mean(b)) over all elements by numpy's pairwise
-    ``np.add.reduce`` (Higham 2002, 4.2), never BLAS: thread-count independent."""
-    d = a - a.mean()
-    d *= d if b is a else b - b.mean()
-    return float(np.add.reduce(d, axis=None))
+def _centred_moments(*variates: np.ndarray) -> tuple[list[float], list[float]]:
+    """(means, centred sums) of equally long nonempty 1-D variates.
+
+    Each mean is taken once, as ``np.add.reduce(u) / u.size`` (the bits of
+    ``u.mean()``), and each variate is centred on it once.  The centred sums
+    are the sums of (u_i - mean_i) * (u_j - mean_j) for i <= j in row order,
+    [ss] for one variate and [yy, yx, xx] for two, each by numpy's pairwise
+    ``np.add.reduce`` (Higham 2002, 4.2), never BLAS: thread-count independent.
+    """
+    means = [float(np.add.reduce(u) / u.size) for u in variates]
+    devs = [u - mu for u, mu in zip(variates, means)]
+    return means, [float(np.add.reduce(d * e)) for i, d in enumerate(devs) for e in devs[i:]]
 
 
 def summarize_stratum(stratum: MicrodataStratum, n: int) -> StratumSummary:
     """Compute a StratumSummary from the raw values of one stratum.
 
     Means are arithmetic means; variances and the covariance use divisor
-    N - 1, their centred sums formed by ``_centred_sum``.  ``n`` is the
+    N - 1, their centred sums formed by ``_centred_moments``.  ``n`` is the
     planned sample size for the stratum, checked by ``StratumSummary``.
     """
     N = stratum.N
@@ -302,12 +308,10 @@ def summarize_stratum(stratum: MicrodataStratum, n: int) -> StratumSummary:
         raise DegenerateStratum(
             f"stratum {stratum.index}: needs at least 2 units, got {N}"
         )
-    mean_y = float(stratum.y.mean())
-    mean_x = float(stratum.x.mean())
-    var_y = _centred_sum(stratum.y, stratum.y) / (N - 1)
-    var_x = _centred_sum(stratum.x, stratum.x) / (N - 1)
-    cov = _centred_sum(stratum.x, stratum.y) / (N - 1)
-    return StratumSummary(stratum.index, N, n, mean_y, mean_x, var_y, var_x, cov)
+    (mean_y, mean_x), (s_yy, s_yx, s_xx) = _centred_moments(stratum.y, stratum.x)
+    return StratumSummary(
+        stratum.index, N, n, mean_y, mean_x, s_yy / (N - 1), s_xx / (N - 1), s_yx / (N - 1)
+    )
 
 
 def design_from_microdata(

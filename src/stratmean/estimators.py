@@ -192,7 +192,10 @@ def _guarded_power(num: np.ndarray, den: np.ndarray, e: float):
         else:
             bad_base = ~zero_den & (base <= 0.0)
         invalid = zero_den | bad_base
-        powed = np.where(invalid, np.nan, np.power(np.where(invalid, 1.0, base), e))
+        if invalid.any():
+            powed = np.where(invalid, np.nan, np.power(np.where(invalid, 1.0, base), e))
+        else:
+            powed = np.power(base, e)
     return powed, zero_den, bad_base
 
 
@@ -253,7 +256,8 @@ def estimate_many(
         values = _combine(kind, ybar, diff, factor, k1, k2)
 
     valid = ~(zero_den | bad_base)
-    values = np.where(valid, values, np.nan)
+    if not valid.all():
+        values = np.where(valid, values, np.nan)
     counts: dict[str, int] = {}
     if zero_den.any():
         counts["zero-denominator"] = int(zero_den.sum())

@@ -37,7 +37,7 @@ from .design import (
     Microdata,
     MicrodataStratum,
     StratumSummary,
-    _centred_sum,
+    _centred_moments,
     aggregate_moments,
     checked_sample_sizes,
     design_from_microdata,
@@ -154,26 +154,58 @@ def synthesize_population(
 
 
 def _floyd_picks(rng: np.random.Generator, N: int, m: int, count: int) -> np.ndarray:
-    """``count`` independent m-subsets of range(N), one per row (Floyd, 1987).
+    """``count`` independent m-subsets of range(N) (Floyd, 1987), one for
+    each row of a block, as an (m, count) array: ``picks[:, r]`` is row r's.
 
     Step j (N-m <= j < N) draws t uniform on 0..j and keeps t, or j where
     the row already holds t; every m-subset comes out equally likely.  The
     membership check costs O(count * m**2) comparisons.
 
     The work is stratum-major: ``picks[i]`` holds step i for all ``count``
-    rows, so the check reduces over the outer, contiguous axis.  The random
-    numbers are one ``integers`` call of ``count`` per step, in step order,
-    the stream a row-major loop makes.  The result is transposed to a
-    C-ordered (count, m) index, so a gather summed along axis 1 adds each
-    row's units in step order; summing an (m, count) gather over axis 0
-    would change the last bits once m >= 8.
+    rows, so the check reduces over the outer, contiguous axis, and a
+    repeat is marked in place.  The random numbers are one ``integers`` call
+    of ``count`` per step, in step order, the stream a row-major loop makes.
+    ``_gathered_sum`` gathers this index one step at a time and adds the
+    steps in numpy's pairwise order, so each row's sum has the bits of a
+    row-major (count, m) gather summed along axis 1, for a given numpy
+    build.
     """
     picks = np.empty((m, count), dtype=np.intp)
     for i, j in enumerate(range(N - m, N)):
         t = rng.integers(0, j + 1, size=count)
-        held = (picks[:i] == t).any(axis=0)
-        picks[i] = np.where(held, j, t)
-    return np.ascontiguousarray(picks.T)
+        np.putmask(t, (picks[:i] == t).any(axis=0), j)
+        picks[i] = t
+    return picks
+
+
+def _gathered_sum(v: np.ndarray, picks: np.ndarray) -> np.ndarray:
+    """``v[picks].sum(axis=0)`` for an (m, count) index, gathered one step at
+    a time and added in numpy's pairwise order along a contiguous axis.
+
+    Fewer than 8 terms are added in sequence; 8 to 128 go to 8 accumulators,
+    joined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), and the remainder follows
+    in sequence; more terms split at n//2 - (n//2)%8 and recurse.  So each
+    row gets the bits of ``v[picks.T].sum(axis=1)`` on a C-ordered index.
+    """
+    m = len(picks)
+    if m > 128:
+        half = m // 2 - (m // 2) % 8
+        return _gathered_sum(v, picks[:half]) + _gathered_sum(v, picks[half:])
+    if m < 8:
+        acc = v[picks[0]] if m else np.zeros(picks.shape[1])
+        rest = picks[1:]
+    else:
+        r = [v[p] for p in picks[:8]]
+        end = m - m % 8
+        for i in range(8, end, 8):
+            for r_j, p in zip(r, picks[i:i + 8]):
+                r_j += v[p]
+        for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
+            r[a] += r[b]
+        acc, rest = r[0], picks[end:]
+    for p in rest:
+        acc += v[p]
+    return acc
 
 
 def _draw_block(
@@ -198,25 +230,21 @@ def _draw_block(
         left_out = m < nh  # the drawn units are the complement of the sample
         sign = -1.0 if left_out else 1.0
         picks = _floyd_picks(rng, s.N, m, count)
-        yb += w * (left_out * float(s.y.sum()) + sign * s.y[picks].sum(axis=1)) / nh
-        xb += w * (left_out * float(s.x.sum()) + sign * s.x[picks].sum(axis=1)) / nh
+        yb += w * (left_out * float(s.y.sum()) + sign * _gathered_sum(s.y, picks)) / nh
+        xb += w * (left_out * float(s.x.sum()) + sign * _gathered_sum(s.x, picks)) / nh
     return yb, xb
 
 
 def _moments(*variates: np.ndarray) -> _Moments:
     """(count, means, centred sums) of one block of equally long variates.
 
-    The centred sums are ``_centred_sum(u_i, u_j)`` for i <= j in row order:
-    [ss] for one variate, [yy, yx, xx] for two.
+    The means and centred sums are ``_centred_moments``: [ss] for one
+    variate, [yy, yx, xx] for two.
     """
     k = len(variates)
     if variates[0].size == 0:
         return 0, [0.0] * k, [0.0] * (k * (k + 1) // 2)
-    return (
-        variates[0].size,
-        [float(u.mean()) for u in variates],
-        [_centred_sum(u, w) for i, u in enumerate(variates) for w in variates[i:]],
-    )
+    return (variates[0].size, *_centred_moments(*variates))
 
 
 def _merge_moments(a: _Moments, b: _Moments) -> _Moments:
@@ -282,8 +310,9 @@ def replicate(
         partials = []
         for spec in resolved:
             batch = estimate_many(spec, yb, xb, m.mean_x)
-            v = batch.values[batch.valid]
-            q = (v - m.mean_y) ** 2
+            v = batch.values if batch.valid.all() else batch.values[batch.valid]
+            q = v - m.mean_y
+            q *= q
             partials.append((dict(batch.error_counts), _moments(v), _moments(q)))
         return partials
 
@@ -436,7 +465,10 @@ def enumerate_exact_moments(
 
     Forms every sample's combined means, chunk by chunk in the fixed order
     of ``_enumerated_means``, and pools each chunk's means and centred sums
-    in that order with ``_merge_moments``.  Returns the exact enumeration
+    in that order with ``_merge_moments``.  Each stratum's y and x are first
+    centred on their own means, which are added back to the pooled means as
+    sum W_h * mean_h: the chunk means then carry no error of order
+    eps * |mean| for the merge to square.  Returns the exact enumeration
     mean/variance/covariance (population divisor: every sample equally
     likely).  Memory is bounded by the chunk and each stratum's own sample
     means, not by the sample count.  Raises ValueError when the combination
@@ -448,12 +480,17 @@ def enumerate_exact_moments(
         raise ValueError(
             f"enumeration of {total} samples exceeds the limit of {limit}"
         )
+    centres = [(float(s.y.mean()), float(s.x.mean())) for s in pop.strata]
+    centred = Microdata(tuple(
+        MicrodataStratum(s.index, s.y - my, s.x - mx)
+        for s, (my, mx) in zip(pop.strata, centres)
+    ))
     _, (mean_y, mean_x), (s_yy, s_yx, s_xx) = reduce(
-        _merge_moments, (_moments(yb, xb) for yb, xb in _enumerated_means(pop, n))
+        _merge_moments, (_moments(yb, xb) for yb, xb in _enumerated_means(centred, n))
     )
     return CombinedMoments(
-        mean_y=mean_y,
-        mean_x=mean_x,
+        mean_y=sum(w * my for w, (my, _) in zip(pop.weights, centres)) + mean_y,
+        mean_x=sum(w * mx for w, (_, mx) in zip(pop.weights, centres)) + mean_x,
         var_ybar=s_yy / total,
         var_xbar=s_xx / total,
         cov_xybar=s_yx / total,

@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -218,7 +219,8 @@ def _row_major_sample_means(rng, stratum, n, count):
 
 @pytest.mark.parametrize(
     "N, n",
-    [(6, 3), (7, 5), (12, 4), (7, 1), (985, 6), (2196, 8), (1020, 11), (6, 6)],
+    [(6, 3), (7, 5), (12, 4), (7, 1), (985, 6), (2196, 8), (1020, 11), (6, 6),
+     (40, 16), (60, 24), (400, 150)],
 )
 def test_draw_keeps_row_major_stream_and_bits(N, n):
     """Same random numbers consumed, same picks, same summed bits per row."""
@@ -295,6 +297,18 @@ class TestEnumeration:
     def test_limit_enforced(self, pop1, ds1):
         with pytest.raises(ValueError):
             sm.enumerate_exact_moments(pop1, ds1.sample_sizes, limit=100)
+
+    def test_large_mean_against_exact_rationals(self):
+        """y = x = 1e6 + N(0, 1): the centred strata keep var_ybar within
+        1e-14 of the rational (1/n - 1/N) S^2 of the same float values."""
+        y = 1e6 + np.random.default_rng(0).standard_normal(40)
+        exact = sm.enumerate_exact_moments(sm.Microdata((sm.MicrodataStratum(1, y, y),)), (5,))
+        units = [Fraction(v) for v in y.tolist()]
+        mean = sum(units) / 40
+        var_ybar = (Fraction(1, 5) - Fraction(1, 40)) * sum((v - mean) ** 2 for v in units) / 39
+        for got in (exact.var_ybar, exact.var_xbar, exact.cov_xybar):
+            assert abs(Fraction(got) - var_ybar) / var_ybar <= Fraction(1, 10**14)
+        assert exact.mean_y == exact.mean_x == pytest.approx(float(mean), rel=1e-15)
 
     def test_zero_auxiliary_mean(self):
         """x averages to exactly 0 over the six samples, so R is undefined."""
