@@ -15,6 +15,12 @@ The baselines are the plain stratified mean, the combined ratio estimator
 and add a difference term ``k2 * (mean_x - xbar_st)``: T3/T4 transform the
 whole combination, T5/T6 transform only the scaled study term.
 
+``estimate_many`` is the one evaluation path.  It takes a sequence of
+specs and evaluates them together on arrays of draws, forming
+``mean_x - xbar_st`` once and each distinct transform once: T1, T3 and T5
+at one ``w`` share a power, as do T2, T4 and T6 at one (p, a, b).  The
+scalar ``estimate`` is a one-spec, one-draw call of it.
+
 All functions are pure; the scalar ``estimate`` raises typed errors while
 the batch evaluator flags invalid draws instead.
 """
@@ -23,6 +29,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -214,61 +221,81 @@ class BatchEstimates:
     error_counts: dict[str, int]
 
 
-def estimate_many(
-    spec: EstimatorSpec, ybar_st, xbar_st, mean_x: float
-) -> BatchEstimates:
-    """Evaluate one estimator on arrays of combined sample means.
-
-    Invalid draws (zero denominators, non-real powers) are masked out and
-    tallied by error code rather than raised; the scalar ``estimate`` below
-    shares this code path and raises instead.  Only a zero ``mean_x`` is
-    refused outright: a negative one is a valid design, and the transforms
-    that need a positive base flag the draws where they do not get one.
-    """
-    kind = spec.kind
-    ybar = np.asarray(ybar_st, dtype=float)
-    xbar = np.asarray(xbar_st, dtype=float)
-    if mean_x == 0.0:
-        raise ZeroDenominator("auxiliary population mean is zero")
-    k1, k2 = spec.dual_constants()
-
-    zero_den = np.zeros(ybar.shape, dtype=bool)
-    bad_base = np.zeros(ybar.shape, dtype=bool)
-    if kind is EstimatorKind.UNBIASED:
-        values = ybar + 0.0
-    elif kind is EstimatorKind.COMBINED_RATIO:
-        zero_den = xbar == 0.0
-        with np.errstate(all="ignore"):
-            values = np.where(zero_den, np.nan, ybar * mean_x / np.where(zero_den, 1.0, xbar))
-    elif kind is EstimatorKind.COMBINED_PRODUCT:
-        values = ybar * xbar / mean_x
-    else:
-        shape = (spec.shape or ShapeParams()).require(kind)
-        diff = mean_x - xbar
-        if kind.uses_exponent:
-            powed, zero_den, bad_base = _guarded_power(
-                xbar, np.full_like(xbar, mean_x), shape.w  # type: ignore[arg-type]
-            )
-            factor = 2.0 - powed
-        else:
-            num, den = xbar + shape.a * diff, xbar + shape.b * diff  # type: ignore[operator]
-            factor, zero_den, bad_base = _guarded_power(num, den, shape.p)  # type: ignore[arg-type]
-        values = _combine(kind, ybar, diff, factor, k1, k2)
-
-    valid = ~(zero_den | bad_base)
-    if not valid.all():
-        values = np.where(valid, values, np.nan)
+def _flags(zero_den: np.ndarray, bad_base: np.ndarray) -> tuple[np.ndarray, dict[str, int]]:
+    """(valid mask, error tallies by code) of a transform's two masks."""
     counts: dict[str, int] = {}
     if zero_den.any():
         counts["zero-denominator"] = int(zero_den.sum())
     if bad_base.any():
         counts["non-positive-base"] = int(bad_base.sum())
-    return BatchEstimates(values=values, valid=valid, error_counts=counts)
+    return ~(zero_den | bad_base), counts
+
+
+def estimate_many(
+    specs: Sequence[EstimatorSpec], ybar_st, xbar_st, mean_x: float
+) -> list[BatchEstimates]:
+    """Evaluate every spec on arrays of combined sample means, in order.
+
+    ``mean_x - xbar_st`` is formed once, and each distinct transform once,
+    with its validity: the exponent family keyed by ``w``, the mixing family
+    by (p, a, b).  Specs that share a transform share its factor and its
+    ``valid`` mask, so a spec's values have the bits it gets when evaluated
+    alone.  Invalid draws (zero denominators, non-real powers) are nan,
+    masked out and tallied by error code rather than raised; the scalar
+    ``estimate`` below shares this code path and raises instead.  Only a
+    zero ``mean_x`` is refused outright: a negative one is a valid design,
+    and the transforms that need a positive base flag the draws where they
+    do not get one.
+    """
+    ybar = np.asarray(ybar_st, dtype=float)
+    xbar = np.asarray(xbar_st, dtype=float)
+    if mean_x == 0.0:
+        raise ZeroDenominator("auxiliary population mean is zero")
+    diff = mean_x - xbar
+    all_valid = np.ones(ybar.shape, dtype=bool)
+    transforms: dict[tuple, tuple[np.ndarray, np.ndarray, dict[str, int]]] = {}
+
+    def transform(kind: EstimatorKind, shape: ShapeParams):
+        """(factor, valid, error tallies) of the kind's transform at ``shape``."""
+        key = (shape.w,) if kind.uses_exponent else (shape.p, shape.a, shape.b)
+        if key not in transforms:
+            if kind.uses_exponent:
+                powed, zero_den, bad_base = _guarded_power(
+                    xbar, np.full_like(xbar, mean_x), shape.w  # type: ignore[arg-type]
+                )
+                factor = 2.0 - powed
+            else:
+                num, den = xbar + shape.a * diff, xbar + shape.b * diff  # type: ignore[operator]
+                factor, zero_den, bad_base = _guarded_power(num, den, shape.p)  # type: ignore[arg-type]
+            transforms[key] = (factor, *_flags(zero_den, bad_base))
+        return transforms[key]
+
+    out = []
+    for spec in specs:
+        kind = spec.kind
+        k1, k2 = spec.dual_constants()
+        valid, counts = all_valid, {}
+        if kind is EstimatorKind.UNBIASED:
+            values = ybar + 0.0
+        elif kind is EstimatorKind.COMBINED_RATIO:
+            zero_den = xbar == 0.0
+            valid, counts = _flags(zero_den, np.zeros_like(zero_den))
+            with np.errstate(all="ignore"):
+                values = ybar * mean_x / xbar
+        elif kind is EstimatorKind.COMBINED_PRODUCT:
+            values = ybar * xbar / mean_x
+        else:
+            factor, valid, counts = transform(kind, (spec.shape or ShapeParams()).require(kind))
+            values = _combine(kind, ybar, diff, factor, k1, k2)
+        if counts:
+            values = np.where(valid, values, np.nan)
+        out.append(BatchEstimates(values=values, valid=valid, error_counts=dict(counts)))
+    return out
 
 
 def estimate(spec: EstimatorSpec, ybar_st: float, xbar_st: float, mean_x: float) -> float:
     """Evaluate any estimator spec with fully resolved constants."""
-    batch = estimate_many(spec, np.array([ybar_st]), np.array([xbar_st]), mean_x)
+    (batch,) = estimate_many([spec], np.array([ybar_st]), np.array([xbar_st]), mean_x)
     if "zero-denominator" in batch.error_counts:
         raise ZeroDenominator(
             f"{spec.kind.value}: denominator vanishes at xbar_st={xbar_st!r}"

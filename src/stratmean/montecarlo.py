@@ -53,6 +53,8 @@ _BLOCK = 4096
 _CHUNK = 1 << 14
 
 #: (count, means, centred sums) of a block of samples; see ``_moments``.
+#: ``replicate`` holds the states of all its estimators in one, with an
+#: array of one entry per state in place of each number.
 _Moments = tuple[int, list[float], list[float]]
 
 #: Agreement policy applied by ``replicate`` (recorded in every report).
@@ -173,7 +175,8 @@ def _floyd_picks(rng: np.random.Generator, N: int, m: int, count: int) -> np.nda
     picks = np.empty((m, count), dtype=np.intp)
     for i, j in enumerate(range(N - m, N)):
         t = rng.integers(0, j + 1, size=count)
-        np.putmask(t, (picks[:i] == t).any(axis=0), j)
+        if i:  # step 0 has no earlier pick to repeat
+            np.putmask(t, (picks[:i] == t).any(axis=0), j)
         picks[i] = t
     return picks
 
@@ -227,11 +230,12 @@ def _draw_block(
     xb = np.zeros(count)
     for s, nh, w in zip(pop.strata, n, weights):
         m = min(nh, s.N - nh)
-        left_out = m < nh  # the drawn units are the complement of the sample
-        sign = -1.0 if left_out else 1.0
         picks = _floyd_picks(rng, s.N, m, count)
-        yb += w * (left_out * float(s.y.sum()) + sign * _gathered_sum(s.y, picks)) / nh
-        xb += w * (left_out * float(s.x.sum()) + sign * _gathered_sum(s.x, picks)) / nh
+        sum_y, sum_x = _gathered_sum(s.y, picks), _gathered_sum(s.x, picks)
+        if m < nh:  # the drawn units are the complement of the sample
+            sum_y, sum_x = float(s.y.sum()) - sum_y, float(s.x.sum()) - sum_x
+        yb += w * sum_y / nh
+        xb += w * sum_x / nh
     return yb, xb
 
 
@@ -248,26 +252,38 @@ def _moments(*variates: np.ndarray) -> _Moments:
 
 
 def _merge_moments(a: _Moments, b: _Moments) -> _Moments:
-    """Pool two ``_moments`` states of the same variates.
+    """Pool two ``_moments`` states of the same variates; an empty state
+    leaves the other as it is.
 
     The pairwise update of Chan, Golub & LeVeque (1983), co-moments
     included: no sum of raw products is formed, so a large mean does not
-    swamp the spread.
+    swamp the spread.  The counts, means and sums may also be equally long
+    arrays, one entry per state: the same arithmetic then pools every
+    state elementwise, with the bits of one call per state.
     """
     na, means_a, sums_a = a
     nb, means_b, sums_b = b
-    if nb == 0:
-        return a
-    if na == 0:
-        return b
+    elementwise = isinstance(na, np.ndarray)
+    if not elementwise:
+        if nb == 0:
+            return a
+        if na == 0:
+            return b
     n = na + nb
+    div = np.maximum(n, 1) if elementwise else n  # two empty states: no 0/0
     delta = [mb - ma for ma, mb in zip(means_a, means_b)]
     products = [d * e for i, d in enumerate(delta) for e in delta[i:]]
-    return (
-        n,
-        [ma + d * nb / n for ma, d in zip(means_a, delta)],
-        [sa + sb + p * na * nb / n for sa, sb, p in zip(sums_a, sums_b, products)],
-    )
+    means = [ma + d * nb / div for ma, d in zip(means_a, delta)]
+    sums = [sa + sb + p * na * nb / div for sa, sb, p in zip(sums_a, sums_b, products)]
+    if elementwise and not (na.all() and nb.all()):
+        empty_a, empty_b = na == 0, nb == 0
+
+        def keep(x_a, x_b, x):
+            return np.where(empty_b, x_a, np.where(empty_a, x_b, x))
+
+        means = [keep(*t) for t in zip(means_a, means_b, means)]
+        sums = [keep(*t) for t in zip(sums_a, sums_b, sums)]
+    return n, means, sums
 
 
 def replicate(
@@ -286,6 +302,12 @@ def replicate(
     individual draws (zero denominators, non-real powers) are tallied per
     spec, not raised.  Agreement verdicts follow AGREEMENT_POLICY and
     require at least MIN_REPS_FOR_VERDICT replications.
+
+    Each block evaluates every spec in one ``estimate_many`` call and
+    reduces the specs with no invalid draw in one pass over a (2k, count)
+    array; a spec with invalid draws keeps only its valid values.  The
+    block states are pooled in block order by one elementwise
+    ``_merge_moments`` per block.
     """
     if reps < 2:
         raise ValueError("reps must be at least 2")
@@ -302,19 +324,37 @@ def replicate(
         blocks.append(min(_BLOCK, reps - start))
         start += _BLOCK
     children = np.random.SeedSequence(seed).spawn(len(blocks))
+    k = len(resolved)
 
     def run_block(args):
+        """The block's error tallies per spec, and its ``_moments`` state
+        over 2k entries: spec i's estimates v at i, q = (v - mean_y)**2 at
+        k + i."""
         child, count = args
         rng = np.random.default_rng(child)
         yb, xb = _draw_block(rng, pop, n, weights, count)
-        partials = []
-        for spec in resolved:
-            batch = estimate_many(spec, yb, xb, m.mean_x)
-            v = batch.values if batch.valid.all() else batch.values[batch.valid]
-            q = v - m.mean_y
-            q *= q
-            partials.append((dict(batch.error_counts), _moments(v), _moments(q)))
-        return partials
+        batches = estimate_many(resolved, yb, xb, m.mean_x)
+        full = [i for i, batch in enumerate(batches) if not batch.error_counts]
+        entries = full + [k + i for i in full]  # all-valid specs: one pass
+        block = np.empty((len(entries), count))
+        v, q = block[:len(full)], block[len(full):]
+        for r, i in enumerate(full):
+            v[r] = batches[i].values
+        np.subtract(v, m.mean_y, out=q)
+        q *= q
+        counts, means, sums = np.full(2 * k, count), np.empty(2 * k), np.empty(2 * k)
+        row_means = np.add.reduce(block, axis=1) / count
+        block -= row_means[:, None]
+        block *= block
+        means[entries], sums[entries] = row_means, np.add.reduce(block, axis=1)
+        for i, batch in enumerate(batches):
+            if batch.error_counts:  # only the valid draws count
+                v = batch.values[batch.valid]
+                q = v - m.mean_y
+                q *= q
+                for j, (c, (mu,), (ss,)) in ((i, _moments(v)), (k + i, _moments(q))):
+                    counts[j], means[j], sums[j] = c, mu, ss
+        return [batch.error_counts for batch in batches], (counts, [means], [sums])
 
     jobs = list(zip(children, blocks))
     if workers > 1:
@@ -323,18 +363,19 @@ def replicate(
     else:
         block_results = [run_block(job) for job in jobs]
 
+    # fixed block order: deterministic sums
+    pooled, (pooled_means,), (pooled_sums,) = reduce(
+        _merge_moments, (state for _, state in block_results)
+    )
     rows = []
     for i, (spec, theo) in enumerate(zip(resolved, theory)):
         errors: dict[str, int] = {}
-        pooled_v = pooled_q = _moments(np.empty(0))
-        for partials in block_results:  # fixed block order: deterministic sums
-            errs, block_v, block_q = partials[i]
-            for code, cnt in errs.items():
+        for block_errors, _ in block_results:
+            for code, cnt in block_errors[i].items():
                 errors[code] = errors.get(code, 0) + cnt
-            pooled_v = _merge_moments(pooled_v, block_v)
-            pooled_q = _merge_moments(pooled_q, block_q)
-        valid, (mean_v,), (ss_v,) = pooled_v
-        _, (emp_mse,), (ss_q,) = pooled_q
+        valid = int(pooled[i])
+        mean_v, ss_v = float(pooled_means[i]), float(pooled_sums[i])
+        emp_mse, ss_q = float(pooled_means[k + i]), float(pooled_sums[k + i])
         if valid < 2:
             raise ValueError(
                 f"{spec.label}: only {valid} valid replications; cannot summarize"

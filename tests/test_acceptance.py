@@ -215,32 +215,32 @@ def test_c09_reduction_lattice_randomized():
     shape_pab = sm.ShapeParams(
         p=rng.uniform(0.5, 2.0), a=rng.uniform(-1.0, 1.5), b=rng.uniform(-1.0, 1.5)
     )
-    t1 = sm.estimate_many(sm.EstimatorSpec(K.T1, shape_w), ybar, xbar, mean_x)
-    t2 = sm.estimate_many(sm.EstimatorSpec(K.T2, shape_pab), ybar, xbar, mean_x)
+    (t1,) = sm.estimate_many([sm.EstimatorSpec(K.T1, shape_w)], ybar, xbar, mean_x)
+    (t2,) = sm.estimate_many([sm.EstimatorSpec(K.T2, shape_pab)], ybar, xbar, mean_x)
     failures = []
     for kind, shape, ref in (
         (K.T3, shape_w, t1), (K.T5, shape_w, t1),
         (K.T4, shape_pab, t2), (K.T6, shape_pab, t2),
     ):
-        got = sm.estimate_many(
-            sm.EstimatorSpec(kind, shape, k1=1.0, k2=0.0), ybar, xbar, mean_x
+        (got,) = sm.estimate_many(
+            [sm.EstimatorSpec(kind, shape, k1=1.0, k2=0.0)], ybar, xbar, mean_x
         )
         if not np.array_equal(got.values[ref.valid], ref.values[ref.valid]):
             failures.append(f"{kind.value}(1,0) != embedded shape estimator")
-    ratio = sm.estimate_many(sm.EstimatorSpec(K.COMBINED_RATIO), ybar, xbar, mean_x)
-    product = sm.estimate_many(sm.EstimatorSpec(K.COMBINED_PRODUCT), ybar, xbar, mean_x)
-    as_ratio = sm.estimate_many(
-        sm.EstimatorSpec(K.T2, sm.ShapeParams(p=1.0, a=1.0, b=0.0)), ybar, xbar, mean_x
+    (ratio,) = sm.estimate_many([sm.EstimatorSpec(K.COMBINED_RATIO)], ybar, xbar, mean_x)
+    (product,) = sm.estimate_many([sm.EstimatorSpec(K.COMBINED_PRODUCT)], ybar, xbar, mean_x)
+    (as_ratio,) = sm.estimate_many(
+        [sm.EstimatorSpec(K.T2, sm.ShapeParams(p=1.0, a=1.0, b=0.0))], ybar, xbar, mean_x
     )
-    as_product = sm.estimate_many(
-        sm.EstimatorSpec(K.T2, sm.ShapeParams(p=1.0, a=0.0, b=1.0)), ybar, xbar, mean_x
+    (as_product,) = sm.estimate_many(
+        [sm.EstimatorSpec(K.T2, sm.ShapeParams(p=1.0, a=0.0, b=1.0))], ybar, xbar, mean_x
     )
     if not np.allclose(as_ratio.values, ratio.values, rtol=1e-13):
         failures.append("t2(1,1,0) != combined ratio")
     if not np.allclose(as_product.values, product.values, rtol=1e-13):
         failures.append("t2(1,0,1) != combined product")
-    balanced = sm.estimate_many(
-        sm.EstimatorSpec(K.T6, shape_pab, k1=0.77, k2=5.0),
+    (balanced,) = sm.estimate_many(
+        [sm.EstimatorSpec(K.T6, shape_pab, k1=0.77, k2=5.0)],
         ybar, np.full(count, mean_x), mean_x,
     )
     if not np.array_equal(balanced.values, 0.77 * ybar):

@@ -124,28 +124,28 @@ def test_reduction_lattice_randomized():
     shape_w = sm.ShapeParams(w=w)
     shape_pab = sm.ShapeParams(p=p, a=a, b=b)
 
-    t1 = sm.estimate_many(sm.EstimatorSpec(K.T1, shape_w), ybar, xbar, mean_x)
-    t2 = sm.estimate_many(sm.EstimatorSpec(K.T2, shape_pab), ybar, xbar, mean_x)
+    (t1,) = sm.estimate_many([sm.EstimatorSpec(K.T1, shape_w)], ybar, xbar, mean_x)
+    (t2,) = sm.estimate_many([sm.EstimatorSpec(K.T2, shape_pab)], ybar, xbar, mean_x)
     for kind, shape, ref in (
         (K.T3, shape_w, t1),
         (K.T5, shape_w, t1),
         (K.T4, shape_pab, t2),
         (K.T6, shape_pab, t2),
     ):
-        dual = sm.estimate_many(
-            sm.EstimatorSpec(kind, shape, k1=1.0, k2=0.0), ybar, xbar, mean_x
+        (dual,) = sm.estimate_many(
+            [sm.EstimatorSpec(kind, shape, k1=1.0, k2=0.0)], ybar, xbar, mean_x
         )
         assert np.array_equal(dual.valid, ref.valid)
         ok = ref.valid
         assert np.array_equal(dual.values[ok], ref.values[ok])
 
-    ratio = sm.estimate_many(sm.EstimatorSpec(K.COMBINED_RATIO), ybar, xbar, mean_x)
-    product = sm.estimate_many(sm.EstimatorSpec(K.COMBINED_PRODUCT), ybar, xbar, mean_x)
-    as_ratio = sm.estimate_many(
-        sm.EstimatorSpec(K.T2, sm.ShapeParams(p=1.0, a=1.0, b=0.0)), ybar, xbar, mean_x
+    (ratio,) = sm.estimate_many([sm.EstimatorSpec(K.COMBINED_RATIO)], ybar, xbar, mean_x)
+    (product,) = sm.estimate_many([sm.EstimatorSpec(K.COMBINED_PRODUCT)], ybar, xbar, mean_x)
+    (as_ratio,) = sm.estimate_many(
+        [sm.EstimatorSpec(K.T2, sm.ShapeParams(p=1.0, a=1.0, b=0.0))], ybar, xbar, mean_x
     )
-    as_product = sm.estimate_many(
-        sm.EstimatorSpec(K.T2, sm.ShapeParams(p=1.0, a=0.0, b=1.0)), ybar, xbar, mean_x
+    (as_product,) = sm.estimate_many(
+        [sm.EstimatorSpec(K.T2, sm.ShapeParams(p=1.0, a=0.0, b=1.0))], ybar, xbar, mean_x
     )
     np.testing.assert_allclose(as_ratio.values, ratio.values, rtol=1e-13)
     np.testing.assert_allclose(as_product.values, product.values, rtol=1e-13)
@@ -175,15 +175,86 @@ def test_estimate_many_matches_scalar():
     ybar = rng.uniform(10.0, 200.0, 50)
     xbar = rng.uniform(10.0, 600.0, 50)
     spec = sm.EstimatorSpec(K.T6, sm.ShapeParams(p=1.0, a=1.0, b=0.0), k1=0.95, k2=0.2)
-    batch = sm.estimate_many(spec, ybar, xbar, MEAN_X)
+    (batch,) = sm.estimate_many([spec], ybar, xbar, MEAN_X)
     for i in range(50):
         scalar = sm.estimate(spec, ybar[i], xbar[i], MEAN_X)
         assert scalar == batch.values[i]
 
 
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+def test_estimate_many_over_specs_equals_each_alone():
+    """One call over many specs, repeated shapes and exact duplicates
+    included, gives each spec's values, nan positions, ``valid`` mask and
+    error tallies bit for bit as a call with that spec alone."""
+    rng = np.random.default_rng(8)
+    ybar = rng.uniform(50.0, 150.0, 400)
+    xbar = rng.uniform(-100.0, 700.0, 400)
+    xbar[:5] = [0.0, 0.0, 163.0, 163.0, -326.0]  # zero base; b = -1 denominator zero
+    shape_w = sm.ShapeParams(w=0.5)
+    mix = sm.ShapeParams(p=1.0, a=1.0, b=0.0)
+    specs = [
+        sm.EstimatorSpec(K.T1, shape_w),
+        sm.EstimatorSpec(K.T2, mix),
+        sm.EstimatorSpec(K.T3, shape_w, k1=0.9, k2=0.3),
+        sm.EstimatorSpec(K.T4, mix, k1=0.95, k2=-0.1),
+        sm.EstimatorSpec(K.T5, shape_w, k1=1.1, k2=0.2),
+        sm.EstimatorSpec(K.T6, mix, k1=0.97, k2=0.05),
+        sm.EstimatorSpec(K.T1, sm.ShapeParams(w=-1.0)),  # zero base to a negative power
+        sm.EstimatorSpec(K.T1, sm.ShapeParams(w=2.0)),  # integer power of negative bases
+        sm.EstimatorSpec(K.T2, sm.ShapeParams(p=0.5, a=0.0, b=-1.0)),
+        sm.EstimatorSpec(K.T6, sm.ShapeParams(p=0.5, a=0.0, b=-1.0), k1=1.0, k2=0.0),
+        sm.EstimatorSpec(K.COMBINED_RATIO),
+        sm.EstimatorSpec(K.COMBINED_PRODUCT),
+        sm.EstimatorSpec(K.UNBIASED),
+        sm.EstimatorSpec(K.T1, shape_w),  # an exact duplicate
+    ]
+    together = sm.estimate_many(specs, ybar, xbar, MEAN_X)
+    assert len(together) == len(specs)
+    for spec, got in zip(specs, together):
+        (alone,) = sm.estimate_many([spec], ybar, xbar, MEAN_X)
+        assert np.array_equal(_bits(got.values), _bits(alone.values)), spec
+        assert np.array_equal(got.valid, alone.valid), spec
+        assert got.error_counts == alone.error_counts, spec
+    # the invalid draws are there to compare
+    assert together[0].error_counts["non-positive-base"] > 0
+    assert together[6].error_counts == {"zero-denominator": 2}
+    assert together[7].error_counts == {}
+    assert together[8].error_counts["zero-denominator"] == 2
+    assert together[10].error_counts == {"zero-denominator": 2}
+    assert sm.estimate_many([], ybar, xbar, MEAN_X) == []
+
+
+def test_estimate_many_forms_each_distinct_transform_once(monkeypatch):
+    """paper-1's nine resolved default specs hold three distinct transforms:
+    the w of t1, t3 and t5; t2's (p, a, b); and the (1, 1, 0) of t4 and t6."""
+    calls = []
+    power = sm.estimators._guarded_power
+
+    def counted(*args):
+        calls.append(args[2])
+        return power(*args)
+
+    monkeypatch.setattr(sm.estimators, "_guarded_power", counted)
+    m = sm.aggregate_moments(sm.get_dataset("paper-1"))
+    specs = [sm.resolve_spec(spec, m) for spec in sm.default_table_specs()]
+    rng = np.random.default_rng(3)
+    ybar = rng.normal(m.mean_y, 5.0, 64)
+    xbar = rng.normal(m.mean_x, 10.0, 64)
+    together = sm.estimate_many(specs, ybar, xbar, m.mean_x)
+    assert len(calls) == 3
+    calls.clear()
+    alone = [sm.estimate_many([spec], ybar, xbar, m.mean_x)[0] for spec in specs]
+    assert len(calls) == 6
+    for got, ref in zip(together, alone):
+        assert np.array_equal(_bits(got.values), _bits(ref.values))
+
+
 def test_estimate_many_counts_errors():
     spec = sm.EstimatorSpec(K.COMBINED_RATIO)
-    batch = sm.estimate_many(spec, np.array([1.0, 2.0]), np.array([0.0, 300.0]), MEAN_X)
+    (batch,) = sm.estimate_many([spec], np.array([1.0, 2.0]), np.array([0.0, 300.0]), MEAN_X)
     assert batch.error_counts == {"zero-denominator": 1}
     assert batch.valid.tolist() == [False, True]
     assert np.isnan(batch.values[0])

@@ -262,6 +262,28 @@ def test_merged_block_moments_match_one_pass():
     assert co == pytest.approx(np.sum(da * db), rel=1e-9)
 
 
+def test_elementwise_merge_has_the_bits_of_one_merge_per_state():
+    """States held as arrays pool entry by entry as ``_merge_moments`` pools
+    each on its own, an empty state on either side or both included."""
+    rng = np.random.default_rng(6)
+    a_count = np.array([0, 3, 0, 5, 7, 0])
+    b_count = np.array([3, 0, 0, 2, 3, 1])
+    a_mean, b_mean = rng.uniform(-1e3, 1e3, 6), np.array([0.7, 10.7, 0.0, 0.1, 1.1, -0.0])
+    a_sum, b_sum = rng.uniform(0.0, 1e3, 6), rng.uniform(0.0, 1e3, 6)
+    a_mean[a_count == 0] = a_sum[a_count == 0] = 0.0  # ``_moments`` of no values
+    b_sum[b_count == 0] = 0.0
+    count, (mean,), (ss,) = _merge_moments(
+        (a_count, [a_mean], [a_sum]), (b_count, [b_mean], [b_sum])
+    )
+    for i in range(6):
+        want = _merge_moments(
+            (int(a_count[i]), [float(a_mean[i])], [float(a_sum[i])]),
+            (int(b_count[i]), [float(b_mean[i])], [float(b_sum[i])]),
+        )
+        got = (int(count[i]), [float(mean[i])], [float(ss[i])])
+        assert repr(got) == repr(want)
+
+
 def _stratum(index, N, seed):
     rng = np.random.default_rng(seed)
     x = 300.0 + 50.0 * rng.standard_normal(N)
@@ -481,3 +503,54 @@ class TestReplicate:
         row = report.rows[0]
         assert row.error_counts.get("non-positive-base", 0) > 0
         assert row.valid + sum(row.error_counts.values()) == row.reps
+
+
+def test_block_states_pool_like_sequential_merges(monkeypatch):
+    """``replicate`` pools all its block states in one elementwise update per
+    block; the report has the bits of per-block ``_moments`` pooled spec by
+    spec with sequential ``_merge_moments``, also where a block has no
+    valid draw for a spec."""
+    block = 3
+    monkeypatch.setattr(montecarlo, "_BLOCK", block)
+    strata = (
+        sm.StratumSummary(1, N=8, n=2, mean_y=10.0, mean_x=0.5, var_y=1.0, var_x=4.0, cov_xy=0.0),
+    )
+    pop = sm.synthesize_population(sm.DesignSummary(strata), seed=4)
+    n, reps, seed = (2,), 400, 5
+    specs = [
+        sm.EstimatorSpec(K.T1, sm.ShapeParams(w=0.5)),
+        sm.EstimatorSpec(K.T2),
+        sm.EstimatorSpec(K.COMBINED_RATIO),
+        sm.EstimatorSpec(K.UNBIASED),
+        sm.EstimatorSpec(K.T5),
+        sm.EstimatorSpec(K.T1, sm.ShapeParams(w=0.5)),
+    ]
+    report = sm.replicate(pop, n, specs, reps, seed)
+
+    m = sm.aggregate_moments(sm.design_from_microdata(pop, n))
+    resolved = [sm.resolve_spec(spec, m) for spec in specs]
+    counts = [min(block, reps - start) for start in range(0, reps, block)]
+    children = np.random.SeedSequence(seed).spawn(len(counts))
+    empty_blocks = 0
+    for spec, row in zip(resolved, report.rows):
+        pooled_v = pooled_q = _moments(np.empty(0))
+        errors = {}
+        for child, count in zip(children, counts):
+            yb, xb = _draw_block(np.random.default_rng(child), pop, n, pop.weights, count)
+            (batch,) = sm.estimate_many([spec], yb, xb, m.mean_x)
+            for code, cnt in batch.error_counts.items():
+                errors[code] = errors.get(code, 0) + cnt
+            v = batch.values[batch.valid]
+            empty_blocks += v.size == 0
+            q = v - m.mean_y
+            q *= q
+            pooled_v = _merge_moments(pooled_v, _moments(v))
+            pooled_q = _merge_moments(pooled_q, _moments(q))
+        valid, (mean_v,), (ss_v,) = pooled_v
+        _, (emp_mse,), (ss_q,) = pooled_q
+        assert (row.valid, row.error_counts) == (valid, errors)
+        assert row.empirical_mean == mean_v
+        assert row.empirical_mse == emp_mse
+        assert row.se_bias == math.sqrt(ss_v / (valid - 1) / valid)
+        assert row.se_mse == math.sqrt(ss_q / (valid - 1) / valid)
+    assert empty_blocks > 0
