@@ -107,6 +107,17 @@ _DOC_KEYS = {"label", "known_mean_x", "strata"}
 _STRATUM_KEYS = {"index", "N", "n", "mean_y", "mean_x", "var_y", "var_x", "cov_xy", "rho"}
 
 
+def _unique_keys(pairs: list[tuple]) -> dict:
+    """A ``json`` ``object_pairs_hook``: the pairs as a dict, or KeyError on
+    a key given twice, of which ``json`` alone keeps the last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise KeyError(key)
+        obj[key] = value
+    return obj
+
+
 def _unreadable(path: str | Path, exc: OSError | RecursionError) -> ParseError:
     """The ParseError for a file that cannot be opened, or a JSON document
     nested too deeply for ``json`` to parse."""
@@ -120,9 +131,11 @@ def _unreadable(path: str | Path, exc: OSError | RecursionError) -> ParseError:
 def _summary_from_json(path: str) -> DesignSummary:
     try:
         with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh, parse_int=_json_int)
+            payload = json.load(fh, parse_int=_json_int, object_pairs_hook=_unique_keys)
     except (OSError, RecursionError) as exc:
         raise _unreadable(path, exc) from None
+    except KeyError as exc:
+        raise SchemaError(f"{path}: field {exc.args[0]!r} given twice") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from None
     except UnicodeDecodeError:
@@ -204,12 +217,15 @@ def _microdata_from_csv(path: str) -> tuple[Microdata, dict[int, int]]:
     if not sidecar.exists():
         raise SchemaError(f"{sidecar}: sample-size sidecar not found")
     try:
-        sizes_raw = json.loads(sidecar.read_text(encoding="utf-8"))
+        sizes_raw = json.loads(sidecar.read_text("utf-8"), object_pairs_hook=_unique_keys)
         if not all(_LABEL.fullmatch(k) for k in sizes_raw):
             raise ValueError("labels take the CSV's integer syntax")
-        sizes = {int(k): _count(v) for k, v in sizes_raw.items()}
+        # two labels that parse to one integer, such as 1 and 01, are one stratum
+        sizes = _unique_keys([(int(k), _count(v)) for k, v in sizes_raw.items()])
     except (OSError, RecursionError) as exc:
         raise _unreadable(sidecar, exc) from None
+    except KeyError as exc:
+        raise SchemaError(f"{sidecar}: stratum {exc.args[0]} given twice") from None
     except (json.JSONDecodeError, TypeError, ValueError, AttributeError):
         raise SchemaError(
             f"{sidecar}: must map stratum label to sample size"
@@ -524,12 +540,7 @@ def _population(args: argparse.Namespace) -> tuple[Microdata, dict[int, int] | t
 def _cmd_simulate(args: argparse.Namespace) -> int:
     pop, sample_sizes = _population(args)
     report = montecarlo.replicate(
-        pop,
-        sample_sizes,
-        _specs(args),
-        reps=args.reps,
-        seed=args.seed,
-        workers=args.workers,
+        pop, sample_sizes, _specs(args), reps=args.reps, seed=args.seed
     )
     rows = []
     for r in report.rows:
@@ -698,7 +709,8 @@ def build_parser() -> argparse.ArgumentParser:
     dual_flags(p)
     p.add_argument("--reps", type=_int_at_least(2), default=200_000)
     p.add_argument("--seed", type=_int_at_least(0), default=0)
-    p.add_argument("--workers", type=_int_at_least(1), default=1)
+    # hidden, and 1 is its only value: command lines that pass it still parse
+    p.add_argument("--workers", type=int, choices=(1,), help=argparse.SUPPRESS)
     p.add_argument(
         "--strict",
         action="store_true",

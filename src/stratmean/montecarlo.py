@@ -14,15 +14,14 @@ is either synthesized, with one whiten-then-colour construction for every
 stratum, or read from unit-level data; the draw and the enumeration treat
 both alike.  Samples are drawn only in blocks, inside ``replicate``.
 
-Reproducibility: the random stream is split deterministically over fixed
-replication blocks, so a report depends only on (population, sample sizes,
-specs, reps, seed) and never on the worker count or schedule.
+Reproducibility: replication block i, of ``_BLOCK`` rows, draws from its
+own generator, seeded by ``SeedSequence(seed, spawn_key=(i,))``, so a report
+depends only on (population, sample sizes, specs, reps, seed).
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
 from itertools import product
@@ -292,7 +291,6 @@ def replicate(
     specs: Sequence[EstimatorSpec],
     reps: int,
     seed: int,
-    workers: int = 1,
 ) -> EmpiricalReport:
     """Measure empirical bias/MSE of every spec over seeded replications.
 
@@ -303,11 +301,12 @@ def replicate(
     spec, not raised.  Agreement verdicts follow AGREEMENT_POLICY and
     require at least MIN_REPS_FOR_VERDICT replications.
 
-    Each block evaluates every spec in one ``estimate_many`` call and
-    reduces the specs with no invalid draw in one pass over a (2k, count)
-    array; a spec with invalid draws keeps only its valid values.  The
-    block states are pooled in block order by one elementwise
-    ``_merge_moments`` per block.
+    Block b of ``_BLOCK`` rows draws from ``SeedSequence(seed, spawn_key=(b,))``,
+    the stream of ``SeedSequence(seed).spawn``'s child b, and is folded in as
+    it finishes: every spec in one ``estimate_many`` call, the all-valid specs
+    reduced in one pass over a (2k, count) array (a spec with invalid draws
+    keeps only its valid values), and the state pooled in block order by one
+    elementwise ``_merge_moments``.
     """
     if reps < 2:
         raise ValueError("reps must be at least 2")
@@ -318,20 +317,14 @@ def replicate(
     resolved = [mse_mod.resolve_spec(spec, m) for spec in specs]
     theory = [mse_mod.analyze(spec, m) for spec in resolved]
 
-    blocks = []
-    start = 0
-    while start < reps:
-        blocks.append(min(_BLOCK, reps - start))
-        start += _BLOCK
-    children = np.random.SeedSequence(seed).spawn(len(blocks))
     k = len(resolved)
+    errors: list[dict[str, int]] = [{} for _ in resolved]
 
-    def run_block(args):
-        """The block's error tallies per spec, and its ``_moments`` state
-        over 2k entries: spec i's estimates v at i, q = (v - mean_y)**2 at
-        k + i."""
-        child, count = args
-        rng = np.random.default_rng(child)
+    def run_block(b: int, count: int) -> _Moments:
+        """Block b's ``_moments`` state over 2k entries: spec i's estimates
+        v at i, q = (v - mean_y)**2 at k + i; its error tallies go to
+        ``errors``.  A function, so its arrays are freed before the next draw."""
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
         yb, xb = _draw_block(rng, pop, n, weights, count)
         batches = estimate_many(resolved, yb, xb, m.mean_x)
         full = [i for i, batch in enumerate(batches) if not batch.error_counts]
@@ -349,30 +342,22 @@ def replicate(
         means[entries], sums[entries] = row_means, np.add.reduce(block, axis=1)
         for i, batch in enumerate(batches):
             if batch.error_counts:  # only the valid draws count
+                for code, cnt in batch.error_counts.items():
+                    errors[i][code] = errors[i].get(code, 0) + cnt
                 v = batch.values[batch.valid]
                 q = v - m.mean_y
                 q *= q
                 for j, (c, (mu,), (ss,)) in ((i, _moments(v)), (k + i, _moments(q))):
                     counts[j], means[j], sums[j] = c, mu, ss
-        return [batch.error_counts for batch in batches], (counts, [means], [sums])
-
-    jobs = list(zip(children, blocks))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            block_results = list(pool.map(run_block, jobs))
-    else:
-        block_results = [run_block(job) for job in jobs]
+        return counts, [means], [sums]
 
     # fixed block order: deterministic sums
     pooled, (pooled_means,), (pooled_sums,) = reduce(
-        _merge_moments, (state for _, state in block_results)
+        _merge_moments,
+        (run_block(b, min(_BLOCK, reps - s)) for b, s in enumerate(range(0, reps, _BLOCK))),
     )
     rows = []
     for i, (spec, theo) in enumerate(zip(resolved, theory)):
-        errors: dict[str, int] = {}
-        for block_errors, _ in block_results:
-            for code, cnt in block_errors[i].items():
-                errors[code] = errors.get(code, 0) + cnt
         valid = int(pooled[i])
         mean_v, ss_v = float(pooled_means[i]), float(pooled_sums[i])
         emp_mse, ss_q = float(pooled_means[k + i]), float(pooled_sums[k + i])
@@ -404,7 +389,7 @@ def replicate(
                 constants=spec.constants(),
                 reps=reps,
                 valid=valid,
-                error_counts=errors,
+                error_counts=errors[i],
                 empirical_mean=mean_v,
                 empirical_bias=emp_bias,
                 empirical_mse=emp_mse,

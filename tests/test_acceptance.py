@@ -180,7 +180,7 @@ def test_c08_formula_vs_simulation(ds1):
         sm.EstimatorSpec(K.T6),
     ]
     reps = 200_000
-    report = sm.replicate(pop, ds1.sample_sizes, specs, reps=reps, seed=SEED, workers=4)
+    report = sm.replicate(pop, ds1.sample_sizes, specs, reps=reps, seed=SEED)
     failures = []
     for row in report.rows:
         band = max(3.0 * row.se_mse, 0.05 * abs(row.theoretical_mse))
@@ -262,11 +262,11 @@ def test_c10_simulation_determinism(capsys, ds1):
     code2 = main(list(argv))
     out2 = capsys.readouterr().out
     pop = sm.synthesize_population(ds1, seed=7)
-    rep1 = sm.replicate(pop, ds1.sample_sizes, [sm.EstimatorSpec(K.T5)], 5000, seed=7, workers=1)
-    rep3 = sm.replicate(pop, ds1.sample_sizes, [sm.EstimatorSpec(K.T5)], 5000, seed=7, workers=3)
-    ok = code1 == code2 == 0 and out1 == out2 and rep1 == rep3
+    rep1 = sm.replicate(pop, ds1.sample_sizes, [sm.EstimatorSpec(K.T5)], 5000, seed=7)
+    rep2 = sm.replicate(pop, ds1.sample_sizes, [sm.EstimatorSpec(K.T5)], 5000, seed=7)
+    ok = code1 == code2 == 0 and out1 == out2 and rep1 == rep2
     _report(
         10, ok,
         "simulate output byte-identical across runs; replication reports "
-        "identical at 1 and 3 workers",
+        "identical across same-seed calls",
     )

@@ -153,6 +153,15 @@ class TestIngest:
         assert code == 3 and out == ""
         assert err.startswith("error:schema:") and f"{where}: unknown field {key}" in err
 
+    def test_summary_json_duplicate_key_rejected(self, capsys, tmp_path):
+        # json alone would read the stratum silently as N = 60
+        text = json.dumps(SUMMARY_DOC).replace('"N": 6,', '"N": 6, "N": 60,', 1)
+        path = tmp_path / "d.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "moments", "--data", str(path))
+        assert code == 3 and out == ""
+        assert err == f"error:schema: {path}: field 'N' given twice\n"
+
     def test_summary_json_integral_float_count_accepted(self, tmp_path):
         doc = json.loads(json.dumps(SUMMARY_DOC))
         doc["strata"][1]["N"] = 12.0
@@ -208,6 +217,16 @@ class TestIngest:
         path = self.write_microdata(tmp_path, rows, {label: 2})
         with pytest.raises(SchemaError, match="must map stratum label"):
             ingest(path, "microdata-csv")
+
+    @pytest.mark.parametrize("sizes", ['{"1": 2, "01": 1, "2": 1}', '{"1": 2, "1": 1, "2": 1}'])
+    def test_microdata_sidecar_stratum_given_twice(self, capsys, tmp_path, sizes):
+        # a repeated key, or two labels that parse to one integer, would
+        # otherwise give stratum 1 the last size with exit 0
+        path = write_frame(tmp_path, "stratum,y,x\n" + "\n".join(GOOD_ROWS) + "\n")
+        Path(f"{path}.n.json").write_text(sizes)
+        code, out, err = run_cli(capsys, "moments", "--data", path, "--format", "microdata-csv")
+        assert code == 3 and out == ""
+        assert err == f"error:schema: {path}.n.json: stratum 1 given twice\n"
 
     def test_microdata_missing_sidecar(self, tmp_path):
         path = tmp_path / "micro.csv"
@@ -508,11 +527,19 @@ class TestSimulate:
         assert out1 == out2
 
     def test_workers_do_not_change_output(self, capsys):
+        # --workers parses only as 1, and changes nothing
         base = ("simulate", "--data", "paper-1", "--reps", "9000", "--seed", "5",
                 "--estimators", "t1", "--w", "1")
-        _, out1, _ = run_cli(capsys, *base, "--workers", "1")
-        _, out4, _ = run_cli(capsys, *base, "--workers", "4")
-        assert out1 == out4
+        code0, out0, _ = run_cli(capsys, *base)
+        code1, out1, _ = run_cli(capsys, *base, "--workers", "1")
+        assert code0 == code1 == 0 and out0 == out1
+        for value in ("2", "0", "-3"):
+            code, out, err = run_cli(capsys, *base, "--workers", value)
+            assert code == 2 and out == ""
+            assert err == (
+                "error:usage: stratmean simulate: argument --workers: "
+                f"invalid choice: {value} (choose from 1)\n"
+            )
 
     def test_verdict_columns_present(self, capsys):
         code, out, _ = run_cli(
@@ -577,16 +604,13 @@ class TestExitCodes:
         assert code == 0 and err == ""
         assert out.startswith("usage: stratmean mse") and "--estimators" in out
 
-    @pytest.mark.parametrize(
-        "flag", [("--reps", "0"), ("--reps", "-5"), ("--workers", "0"), ("--workers", "-3")]
-    )
+    @pytest.mark.parametrize("flag", [("--reps", "0"), ("--reps", "-5")])
     def test_simulate_counts_below_one_are_usage_errors(self, capsys, flag):
         code, out, err = run_cli(
             capsys, "simulate", "--data", "paper-1", "--reps", "10", *flag
         )
-        low = 2 if flag[0] == "--reps" else 1
         assert code == 2 and out == ""
-        assert f"argument {flag[0]}: must be at least {low}" in err
+        assert f"argument {flag[0]}: must be at least 2" in err
 
     def test_simulate_single_replication_is_usage_error(self, capsys):
         # one replication has no spread to summarize

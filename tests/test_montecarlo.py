@@ -437,19 +437,6 @@ class TestReplicate:
         for row in report.rows:
             assert row.empirical_mse >= row.empirical_bias**2
 
-    def test_deterministic_across_workers(self, ds1, pop1):
-        specs = [sm.EstimatorSpec(K.COMBINED_RATIO)]
-        a = sm.replicate(pop1, ds1.sample_sizes, specs, reps=6000, seed=3, workers=1)
-        b = sm.replicate(pop1, ds1.sample_sizes, specs, reps=6000, seed=3, workers=4)
-        assert a == b
-
-    def test_paper2_report_independent_of_workers(self, ds2):
-        pop = sm.synthesize_population(ds2, seed=5)
-        specs = sm.default_table_specs()
-        a = sm.replicate(pop, ds2.sample_sizes, specs, reps=10_000, seed=9, workers=1)
-        b = sm.replicate(pop, ds2.sample_sizes, specs, reps=10_000, seed=9, workers=2)
-        assert a == b
-
     def test_paper2_replicate_memory_bounded(self, ds2):
         """The draw keeps O(count * n_h) state, not a count x N_h key matrix."""
         pop = sm.synthesize_population(ds2, seed=5)
@@ -460,6 +447,20 @@ class TestReplicate:
         finally:
             tracemalloc.stop()
         assert peak < 20 * 2**20
+
+    def test_replicate_memory_flat_in_reps(self, ds1, pop1):
+        """Blocks are seeded, drawn and pooled one at a time: ten times the
+        replications hold no more memory."""
+        def peak(reps):
+            tracemalloc.start()
+            try:
+                sm.replicate(pop1, ds1.sample_sizes, sm.default_table_specs(), reps=reps, seed=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small = peak(200_000)
+        assert peak(2_000_000) - small <= 0.25 * 2**20
 
     def test_se_bias_stable_under_large_offset(self, ds1, pop1):
         """Shifting y by 1e8 moves every draw's ybar_st, not its spread."""
