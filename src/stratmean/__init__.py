@@ -24,7 +24,6 @@ from .estimators import (
     BatchEstimates,
     EstimatorKind,
     EstimatorSpec,
-    ShapeParams,
     estimate,
     estimate_many,
     transform_coefficients,
@@ -65,7 +64,6 @@ __all__ = [
     "MicrodataStratum",
     "MseResult",
     "QuadraticMseForm",
-    "ShapeParams",
     "StratumSummary",
     "aggregate_moments",
     "analyze",

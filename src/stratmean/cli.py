@@ -69,7 +69,7 @@ from .design import (
 from .errors import (
     ParseError, SchemaError, StratmeanError, UnknownDataset, UsageError, ValidationError
 )
-from .estimators import EstimatorKind, EstimatorSpec, ShapeParams, estimate as estimate_point
+from .estimators import EstimatorKind, EstimatorSpec, estimate as estimate_point
 from .mse import analyze, default_table_specs, efficiency_table, resolve_spec
 
 # ---------------------------------------------------------------------------
@@ -406,8 +406,9 @@ def _write_report(
 
 def _specs(args: argparse.Namespace) -> list[EstimatorSpec]:
     """One spec per ``--estimators`` kind (default: the nine table rows),
-    carrying the constants given.  The constants that a selected kind takes
-    from one group come all together or not at all."""
+    carrying the given constants among the kind's ``constant_names``.  The
+    constants that a selected kind takes from one group come all together
+    or not at all."""
     kinds = args.estimators or list(EstimatorKind)
     for group in (("p", "a", "b"), ("k1", "k2")):
         users = [kind.value for kind in kinds if group[0] in kind.constant_names]
@@ -415,10 +416,10 @@ def _specs(args: argparse.Namespace) -> list[EstimatorSpec]:
         if users and any(given) and not all(given):
             flags = ", ".join(f"--{name}" for name in group)
             raise UsageError(f"{', '.join(users)}: give all of {flags}, or none for the default")
-    shape = None
-    if any(v is not None for v in (args.w, args.p, args.a, args.b)):
-        shape = ShapeParams(w=args.w, p=args.p, a=args.a, b=args.b)
-    return [EstimatorSpec(kind, shape=shape, k1=args.k1, k2=args.k2) for kind in kinds]
+    return [
+        EstimatorSpec(kind, **{name: getattr(args, name) for name in kind.constant_names})
+        for kind in kinds
+    ]
 
 
 def _constant_columns(constants: dict[str, float]) -> dict:

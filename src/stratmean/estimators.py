@@ -15,6 +15,11 @@ The baselines are the plain stratified mean, the combined ratio estimator
 and add a difference term ``k2 * (mean_x - xbar_st)``: T3/T4 transform the
 whole combination, T5/T6 transform only the scaled study term.
 
+An ``EstimatorSpec`` is one kind with its constants: the shape ``w`` or
+(p, a, b), then (k1, k2) on the dual kinds.  Each is None until
+``mse.resolve_spec`` fills it in, and ``transform_coefficients`` reads both
+families' Taylor coefficients off a spec.
+
 ``estimate_many`` is the one evaluation path.  It takes a sequence of
 specs and evaluates them together on arrays of draws, forming
 ``mean_x - xbar_st`` once and each distinct transform once: T1, T3 and T5
@@ -28,7 +33,7 @@ the batch evaluator flags invalid draws instead.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -74,7 +79,7 @@ class EstimatorKind(enum.Enum):
 
     @property
     def shape_names(self) -> tuple[str, ...]:
-        """The ``ShapeParams`` fields the kind's transform takes."""
+        """The ``EstimatorSpec`` fields the kind's transform takes."""
         if self.uses_exponent:
             return ("w",)
         if self.uses_mixing:
@@ -88,54 +93,23 @@ class EstimatorKind(enum.Enum):
 
 
 @dataclass(frozen=True)
-class ShapeParams:
-    """Shape constants of the two transform families.
+class EstimatorSpec:
+    """An estimator kind plus its constants, each None until resolved.
 
     ``w`` is the exponent-family power; ``p``, ``a``, ``b`` parameterize the
-    mixing-ratio family.  Only the fields the estimator kind needs have to
-    be present.
+    mixing-ratio family; ``k1``, ``k2`` are the dual constants.  The
+    constants are keyword-only, and only those in ``kind.constant_names``
+    are read.  An unset shape resolves to the optimal or table default, and
+    unset (k1, k2) to the MSE-optimal pair; point evaluation requires every
+    constant the kind uses.
     """
 
+    kind: EstimatorKind
+    _: KW_ONLY
     w: float | None = None
     p: float | None = None
     a: float | None = None
     b: float | None = None
-
-    @property
-    def delta(self) -> float:
-        """First-order coefficient p*(b-a) of the mixing transform.
-
-        With (p, a, b) = (1, 1, 0) the transform is the ratio correction and
-        delta = -1; with (1, 0, 1) it is the product correction and
-        delta = +1.
-        """
-        return self.p * (self.b - self.a)  # type: ignore[operator]
-
-    @property
-    def curvature(self) -> float:
-        """Second-order coefficient of the mixing transform."""
-        p, a, b = self.p, self.a, self.b
-        return (p * p * (a - b) ** 2 + p * (b * b - a * a + 2.0 * (a - b))) / 2.0  # type: ignore[operator]
-
-    def require(self, kind: EstimatorKind) -> "ShapeParams":
-        names = kind.shape_names
-        if any(getattr(self, name) is None for name in names):
-            raise ValueError(f"{kind.value} requires shape constants ({', '.join(names)})")
-        return self
-
-
-@dataclass(frozen=True)
-class EstimatorSpec:
-    """An estimator kind plus its constants.
-
-    ``shape`` may be None (resolve the shape constants optimally, or use
-    the table defaults) and ``k1``/``k2`` may be None on dual kinds (resolve
-    via the MSE-optimal constants).  Point evaluation requires every
-    constant the kind uses to be resolved.
-    """
-
-    kind: EstimatorKind
-    shape: ShapeParams | None = None
     k1: float | None = None
     k2: float | None = None
 
@@ -145,10 +119,16 @@ class EstimatorSpec:
 
     def constants(self) -> dict[str, float]:
         """The set constants among ``kind.constant_names``, keyed by name."""
-        given = {**vars(self.shape or ShapeParams()), "k1": self.k1, "k2": self.k2}
-        return {
-            name: given[name] for name in self.kind.constant_names if given[name] is not None
-        }
+        values = {name: getattr(self, name) for name in self.kind.constant_names}
+        return {name: v for name, v in values.items() if v is not None}
+
+    def shape(self) -> tuple[float, ...]:
+        """The values of ``kind.shape_names``; ValueError while one is unset."""
+        values = tuple([getattr(self, name) for name in self.kind.shape_names])
+        if None in values:
+            names = ", ".join(self.kind.shape_names)
+            raise ValueError(f"{self.kind.value} requires shape constants ({names})")
+        return values
 
     def dual_constants(self) -> tuple[float, float]:
         """(k1, k2) of a resolved spec; (1, 0) for the kinds without them."""
@@ -159,27 +139,28 @@ class EstimatorSpec:
         return float(self.k1), float(self.k2)
 
 
-def transform_coefficients(
-    kind: EstimatorKind, shape: ShapeParams | None = None
-) -> tuple[float, float]:
+def transform_coefficients(spec: EstimatorSpec) -> tuple[float, float]:
     """First- and second-order Taylor coefficients of the auxiliary transform.
 
-    Writing e = xbar_st/mean_x - 1, the transform attached to ``kind``
+    Writing e = xbar_st/mean_x - 1, the transform attached to ``spec.kind``
     expands as 1 + phi1*e + phi2*e**2 + O(e**3).  The plain mean has
     (0, 0); the ratio correction mean_x/xbar_st gives (-1, 1); the product
-    correction gives (1, 0).
+    correction gives (1, 0).  The exponent family has phi1 = -w; the mixing
+    family has phi1 = delta = p*(b-a), which is -1 at (p, a, b) = (1, 1, 0),
+    the ratio correction, and +1 at (1, 0, 1), the product correction.
     """
+    kind = spec.kind
     if kind is EstimatorKind.UNBIASED:
         return 0.0, 0.0
     if kind is EstimatorKind.COMBINED_RATIO:
         return -1.0, 1.0
     if kind is EstimatorKind.COMBINED_PRODUCT:
         return 1.0, 0.0
-    shape = (shape or ShapeParams()).require(kind)
     if kind.uses_exponent:
-        w = shape.w
-        return -w, -w * (w - 1.0) / 2.0  # type: ignore[operator]
-    return shape.delta, shape.curvature
+        (w,) = spec.shape()
+        return -w, -w * (w - 1.0) / 2.0
+    p, a, b = spec.shape()
+    return p * (b - a), (p * p * (a - b) ** 2 + p * (b * b - a * a + 2.0 * (a - b))) / 2.0
 
 
 def _guarded_power(num: np.ndarray, den: np.ndarray, e: float):
@@ -255,18 +236,17 @@ def estimate_many(
     all_valid = np.ones(ybar.shape, dtype=bool)
     transforms: dict[tuple, tuple[np.ndarray, np.ndarray, dict[str, int]]] = {}
 
-    def transform(kind: EstimatorKind, shape: ShapeParams):
-        """(factor, valid, error tallies) of the kind's transform at ``shape``."""
-        key = (shape.w,) if kind.uses_exponent else (shape.p, shape.a, shape.b)
+    def transform(spec: EstimatorSpec):
+        """(factor, valid, error tallies) of the spec's transform."""
+        key = spec.shape()
         if key not in transforms:
-            if kind.uses_exponent:
-                powed, zero_den, bad_base = _guarded_power(
-                    xbar, np.full_like(xbar, mean_x), shape.w  # type: ignore[arg-type]
-                )
+            if spec.kind.uses_exponent:
+                (w,) = key
+                powed, zero_den, bad_base = _guarded_power(xbar, np.full_like(xbar, mean_x), w)
                 factor = 2.0 - powed
             else:
-                num, den = xbar + shape.a * diff, xbar + shape.b * diff  # type: ignore[operator]
-                factor, zero_den, bad_base = _guarded_power(num, den, shape.p)  # type: ignore[arg-type]
+                p, a, b = key
+                factor, zero_den, bad_base = _guarded_power(xbar + a * diff, xbar + b * diff, p)
             transforms[key] = (factor, *_flags(zero_den, bad_base))
         return transforms[key]
 
@@ -285,7 +265,7 @@ def estimate_many(
         elif kind is EstimatorKind.COMBINED_PRODUCT:
             values = ybar * xbar / mean_x
         else:
-            factor, valid, counts = transform(kind, (spec.shape or ShapeParams()).require(kind))
+            factor, valid, counts = transform(spec)
             values = _combine(kind, ybar, diff, factor, k1, k2)
         if counts:
             values = np.where(valid, values, np.nan)

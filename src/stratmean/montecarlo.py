@@ -51,6 +51,9 @@ _BLOCK = 4096
 #: Most samples in one chunk of the exact enumeration; fixes its sum order.
 _CHUNK = 1 << 14
 
+#: Most samples ``enumerate_exact_moments`` forms; past it, use ``replicate``.
+ENUMERATION_LIMIT = 10_000_000
+
 #: (count, means, centred sums) of a block of samples; see ``_moments``.
 #: ``replicate`` holds the states of all its estimators in one, with an
 #: array of one entry per state in place of each number.
@@ -482,11 +485,7 @@ def enumeration_count(pop: Microdata, sample_sizes: Sequence[int]) -> int:
     return total
 
 
-def enumerate_exact_moments(
-    pop: Microdata,
-    sample_sizes: Sequence[int],
-    limit: int = 10_000_000,
-) -> CombinedMoments:
+def enumerate_exact_moments(pop: Microdata, sample_sizes: Sequence[int]) -> CombinedMoments:
     """Design moments of (ybar_st, xbar_st) over every possible sample.
 
     Forms every sample's combined means, chunk by chunk in the fixed order
@@ -498,13 +497,13 @@ def enumerate_exact_moments(
     mean/variance/covariance (population divisor: every sample equally
     likely).  Memory is bounded by the chunk and each stratum's own sample
     means, not by the sample count.  Raises ValueError when the combination
-    count exceeds ``limit``; fall back to seeded replication in that case.
+    count exceeds ``ENUMERATION_LIMIT``; fall back to seeded replication in that case.
     """
     n = checked_sample_sizes(pop, sample_sizes)
     total = enumeration_count(pop, n)
-    if total > limit:
+    if total > ENUMERATION_LIMIT:
         raise ValueError(
-            f"enumeration of {total} samples exceeds the limit of {limit}"
+            f"enumeration of {total} samples exceeds the limit of {ENUMERATION_LIMIT}"
         )
     centres = [(float(s.y.mean()), float(s.x.mean())) for s in pop.strata]
     centred = Microdata(tuple(

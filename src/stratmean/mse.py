@@ -31,24 +31,21 @@ the 2x2 normal equations
       (mean_y**2 + a) k1 - e k2 = mean_y**2 + c
       -e k1 + b k2 = -d
 
-Percent relative efficiency is 100 * var_ybar / MSE, so the plain
-stratified mean scores exactly 100.
+Every function here takes an ``EstimatorSpec``; ``quadratic_form`` and
+``optimal_dual`` read only its kind and shape constants.  Percent relative
+efficiency is 100 * var_ybar / MSE, so the plain stratified mean scores
+exactly 100.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from .design import CombinedMoments, DesignSummary, aggregate_moments
 from .errors import ComputationError, ZeroMse
-from .estimators import (
-    EstimatorKind,
-    EstimatorSpec,
-    ShapeParams,
-    transform_coefficients,
-)
+from .estimators import EstimatorKind, EstimatorSpec, transform_coefficients
 
 #: |det| below this fraction of its natural scale counts as singular.
 SINGULAR_REL_TOL = 1e-12
@@ -134,17 +131,16 @@ def pre(mse_value: float, m: CombinedMoments) -> float:
     return 100.0 * m.var_ybar / mse_value
 
 
-def quadratic_form(
-    kind: EstimatorKind, shape: ShapeParams | None, m: CombinedMoments
-) -> QuadraticMseForm:
-    """The MSE(k1, k2) surface of any estimator (module docstring).
+def quadratic_form(spec: EstimatorSpec, m: CombinedMoments) -> QuadraticMseForm:
+    """The MSE(k1, k2) surface of any estimator spec (module docstring).
 
-    Only the dual kinds move off (k1, k2) = (1, 0); the others read
+    It reads the spec's kind and shape constants, never (k1, k2).  Only
+    the dual kinds move off (k1, k2) = (1, 0); the others read
     ``value(1, 0)``.
     """
-    phi1, phi2 = transform_coefficients(kind, shape)
+    phi1, phi2 = transform_coefficients(spec)
     r = m.ratio
-    kappa = 1.0 if kind.transforms_difference else 0.0
+    kappa = 1.0 if spec.kind.transforms_difference else 0.0
     rvx = r * m.var_xbar
     return QuadraticMseForm(
         ybar_sq=m.mean_y * m.mean_y,
@@ -156,19 +152,16 @@ def quadratic_form(
     )
 
 
-def optimal_dual(
-    kind: EstimatorKind, shape: ShapeParams, m: CombinedMoments
-) -> tuple[float, float]:
-    """MSE-minimizing (k1, k2) of a dual estimator at the given shape."""
-    return quadratic_form(kind, shape, m).optimum()
+def optimal_dual(spec: EstimatorSpec, m: CombinedMoments) -> tuple[float, float]:
+    """MSE-minimizing (k1, k2) of a dual estimator spec at its shape."""
+    return quadratic_form(spec, m).optimum()
 
 
 def first_order_bias(spec: EstimatorSpec, m: CombinedMoments) -> float:
     """First-order bias of any estimator spec with resolved constants."""
-    kind = spec.kind
     k1, k2 = spec.dual_constants()
-    phi1, phi2 = transform_coefficients(kind, spec.shape)
-    kappa = 1.0 if kind.transforms_difference else 0.0
+    phi1, phi2 = transform_coefficients(spec)
+    kappa = 1.0 if spec.kind.transforms_difference else 0.0
     shape_bias = (
         phi1 * m.cov_xybar / m.mean_x
         + phi2 * m.mean_y * m.var_xbar / (m.mean_x * m.mean_x)
@@ -193,10 +186,9 @@ def _w_opt(m: CombinedMoments) -> float:
 
 def _optimizes_shape(spec: EstimatorSpec) -> bool:
     """True when the spec leaves its shape to the MSE-optimal w or delta."""
-    shape = spec.shape
     if spec.kind.uses_exponent:
-        return shape is None or shape.w is None
-    return spec.kind is EstimatorKind.T2 and (shape is None or shape.p is None)
+        return spec.w is None
+    return spec.kind is EstimatorKind.T2 and spec.p is None
 
 
 def _arithmetic_checked(fn):
@@ -221,32 +213,31 @@ def resolve_spec(spec: EstimatorSpec, m: CombinedMoments) -> EstimatorSpec:
     missing dual constants resolve to the MSE-optimal (k1, k2).
     """
     kind = spec.kind
-    shape = spec.shape
     if _optimizes_shape(spec):
         w = _w_opt(m)
         if kind.uses_exponent:
-            shape = ShapeParams(w=w)
+            spec = replace(spec, w=w)
         else:
             # 0.0 - w, not -w, so that w = 0 gives delta = +0, not -0
-            shape = ShapeParams(p=1.0, a=0.0, b=0.0 - w)
-    elif kind.uses_mixing and (shape is None or shape.p is None):
-        shape = ShapeParams(p=1.0, a=1.0, b=0.0)
-    k1, k2 = spec.k1, spec.k2
+            spec = replace(spec, p=1.0, a=0.0, b=0.0 - w)
+    elif kind.uses_mixing and spec.p is None:
+        spec = replace(spec, p=1.0, a=1.0, b=0.0)
     if kind.is_dual:
-        if (k1 is None) != (k2 is None):
+        if (spec.k1 is None) != (spec.k2 is None):
             raise ValueError(
                 f"{kind.value}: give both k1 and k2, or neither for the optimum"
             )
-        if k1 is None:
-            k1, k2 = optimal_dual(kind, shape, m)  # type: ignore[arg-type]
-    return EstimatorSpec(kind, shape=shape, k1=k1, k2=k2)
+        if spec.k1 is None:
+            k1, k2 = optimal_dual(spec, m)
+            spec = replace(spec, k1=k1, k2=k2)
+    return spec
 
 
 @_arithmetic_checked
 def analyze(spec: EstimatorSpec, m: CombinedMoments) -> MseResult:
     """Resolve constants and compute the spec's first-order MSE result."""
     resolved = resolve_spec(spec, m)
-    form = quadratic_form(resolved.kind, resolved.shape, m)
+    form = quadratic_form(resolved, m)
     mse_value = form.value(*resolved.dual_constants())
     return MseResult(
         kind=spec.kind,

@@ -35,8 +35,8 @@ def _rel(got: float, want: float) -> float:
     return abs(got - want) / abs(want)
 
 
-def _analyze(kind, m, shape=None):
-    return sm.analyze(sm.EstimatorSpec(kind, shape), m)
+def _analyze(kind, m, **constants):
+    return sm.analyze(sm.EstimatorSpec(kind, **constants), m)
 
 
 def test_c01_baseline_reproduction_dataset1(m1):
@@ -105,17 +105,17 @@ def test_c05_dual_constant_dominance(m1, m2):
     for tag, m in (("dataset-1", m1), ("dataset-2", m2)):
         w_opt = m.cov_xybar / (m.ratio * m.var_xbar)
         shapes = {
-            K.T3: sm.ShapeParams(w=w_opt),
-            K.T5: sm.ShapeParams(w=w_opt),
-            K.T4: sm.ShapeParams(p=1.0, a=1.0, b=0.0),
-            K.T6: sm.ShapeParams(p=1.0, a=1.0, b=0.0),
+            K.T3: dict(w=w_opt),
+            K.T5: dict(w=w_opt),
+            K.T4: dict(p=1.0, a=1.0, b=0.0),
+            K.T6: dict(p=1.0, a=1.0, b=0.0),
         }
         shape_min = m.var_ybar - m.cov_xybar**2 / m.var_xbar
         k1g = np.linspace(0.0, 2.0, 201)[:, None]
         k2g = np.linspace(-3.0 * m.ratio, 3.0 * m.ratio, 201)[None, :]
         for kind, shape in shapes.items():
-            form = sm.quadratic_form(kind, shape, m)
-            res = _analyze(kind, m, shape)
+            form = sm.quadratic_form(sm.EstimatorSpec(kind, **shape), m)
+            res = _analyze(kind, m, **shape)
             at_unit = form.value(1.0, 0.0)
             grid = (
                 form.ybar_sq * (k1g - 1.0) ** 2 + form.a * k1g**2 + form.b * k2g**2
@@ -172,8 +172,8 @@ def test_c08_formula_vs_simulation(ds1):
         sm.EstimatorSpec(K.UNBIASED),
         sm.EstimatorSpec(K.COMBINED_RATIO),
         sm.EstimatorSpec(K.COMBINED_PRODUCT),
-        sm.EstimatorSpec(K.T1, sm.ShapeParams(w=1.0)),
-        sm.EstimatorSpec(K.T2, sm.ShapeParams(p=1.0, a=1.0, b=0.0)),
+        sm.EstimatorSpec(K.T1, w=1.0),
+        sm.EstimatorSpec(K.T2, p=1.0, a=1.0, b=0.0),
         sm.EstimatorSpec(K.T3),
         sm.EstimatorSpec(K.T4),
         sm.EstimatorSpec(K.T5),
@@ -211,36 +211,36 @@ def test_c09_reduction_lattice_randomized():
     ybar = rng.uniform(1.0, 500.0, count)
     xbar = rng.uniform(1.0, 900.0, count)
     mean_x = 326.0
-    shape_w = sm.ShapeParams(w=rng.uniform(-2.0, 3.0))
-    shape_pab = sm.ShapeParams(
+    shape_w = dict(w=rng.uniform(-2.0, 3.0))
+    shape_pab = dict(
         p=rng.uniform(0.5, 2.0), a=rng.uniform(-1.0, 1.5), b=rng.uniform(-1.0, 1.5)
     )
-    (t1,) = sm.estimate_many([sm.EstimatorSpec(K.T1, shape_w)], ybar, xbar, mean_x)
-    (t2,) = sm.estimate_many([sm.EstimatorSpec(K.T2, shape_pab)], ybar, xbar, mean_x)
+    (t1,) = sm.estimate_many([sm.EstimatorSpec(K.T1, **shape_w)], ybar, xbar, mean_x)
+    (t2,) = sm.estimate_many([sm.EstimatorSpec(K.T2, **shape_pab)], ybar, xbar, mean_x)
     failures = []
     for kind, shape, ref in (
         (K.T3, shape_w, t1), (K.T5, shape_w, t1),
         (K.T4, shape_pab, t2), (K.T6, shape_pab, t2),
     ):
         (got,) = sm.estimate_many(
-            [sm.EstimatorSpec(kind, shape, k1=1.0, k2=0.0)], ybar, xbar, mean_x
+            [sm.EstimatorSpec(kind, **shape, k1=1.0, k2=0.0)], ybar, xbar, mean_x
         )
         if not np.array_equal(got.values[ref.valid], ref.values[ref.valid]):
             failures.append(f"{kind.value}(1,0) != embedded shape estimator")
     (ratio,) = sm.estimate_many([sm.EstimatorSpec(K.COMBINED_RATIO)], ybar, xbar, mean_x)
     (product,) = sm.estimate_many([sm.EstimatorSpec(K.COMBINED_PRODUCT)], ybar, xbar, mean_x)
     (as_ratio,) = sm.estimate_many(
-        [sm.EstimatorSpec(K.T2, sm.ShapeParams(p=1.0, a=1.0, b=0.0))], ybar, xbar, mean_x
+        [sm.EstimatorSpec(K.T2, p=1.0, a=1.0, b=0.0)], ybar, xbar, mean_x
     )
     (as_product,) = sm.estimate_many(
-        [sm.EstimatorSpec(K.T2, sm.ShapeParams(p=1.0, a=0.0, b=1.0))], ybar, xbar, mean_x
+        [sm.EstimatorSpec(K.T2, p=1.0, a=0.0, b=1.0)], ybar, xbar, mean_x
     )
     if not np.allclose(as_ratio.values, ratio.values, rtol=1e-13):
         failures.append("t2(1,1,0) != combined ratio")
     if not np.allclose(as_product.values, product.values, rtol=1e-13):
         failures.append("t2(1,0,1) != combined product")
     (balanced,) = sm.estimate_many(
-        [sm.EstimatorSpec(K.T6, shape_pab, k1=0.77, k2=5.0)],
+        [sm.EstimatorSpec(K.T6, **shape_pab, k1=0.77, k2=5.0)],
         ybar, np.full(count, mean_x), mean_x,
     )
     if not np.array_equal(balanced.values, 0.77 * ybar):

@@ -383,26 +383,26 @@ def test_one_quadratic_form_reductions_and_dominance(design):
     # the transform's curvature (or R var_xbar underflows to 0): a known
     # limitation of the optimum, separate from the reductions checked here.
     assume(m.var_xbar == 0.0 or abs(m.cov_xybar) < 1e150 * abs(m.ratio * m.var_xbar))
-    t1_at_zero = _analyzed(sm.EstimatorSpec(K.T1, sm.ShapeParams(w=0.0)), m)
+    t1_at_zero = _analyzed(sm.EstimatorSpec(K.T1, w=0.0), m)
     assert t1_at_zero == _analyzed(sm.EstimatorSpec(K.UNBIASED), m)
     if m.var_ybar > 0.0:
         assert t1_at_zero[0] == m.var_ybar
     for kind, (a, b) in ((K.COMBINED_RATIO, (1.0, 0.0)), (K.COMBINED_PRODUCT, (0.0, 1.0))):
-        t2 = _analyzed(sm.EstimatorSpec(K.T2, sm.ShapeParams(p=1.0, a=a, b=b)), m)
+        t2 = _analyzed(sm.EstimatorSpec(K.T2, p=1.0, a=a, b=b), m)
         baseline = _analyzed(sm.EstimatorSpec(kind), m)
         assert (t2 is None) == (baseline is None)
         if t2 is not None:
             assert t2 == pytest.approx(baseline, rel=1e-12)
     t1 = sm.resolve_spec(sm.EstimatorSpec(K.T1), m)
-    shape_min = sm.quadratic_form(K.T1, t1.shape, m).value(1.0, 0.0)
+    shape_min = sm.quadratic_form(t1, m).value(1.0, 0.0)
     # a perfect fit leaves both optima at zero plus rounding of this scale;
     # the absolute term keeps it above zero when the moments are subnormal
     noise = 1e-12 * (m.var_ybar + m.ratio**2 * m.var_xbar) + 4 * math.ulp(0.0)
     t2 = sm.resolve_spec(sm.EstimatorSpec(K.T2), m)
-    assert sm.quadratic_form(K.T2, t2.shape, m).value(1.0, 0.0) == shape_min
+    assert sm.quadratic_form(t2, m).value(1.0, 0.0) == shape_min
     for kind in (K.T3, K.T4, K.T5, K.T6):
         spec = sm.resolve_spec(sm.EstimatorSpec(kind), m)
-        form = sm.quadratic_form(kind, spec.shape, m)
+        form = sm.quadratic_form(spec, m)
         minimum = form.b * (form.ybar_sq + form.a) > form.e * form.e
         if minimum and not form.singular:
             bound = shape_min + 1e-9 * abs(shape_min) + noise

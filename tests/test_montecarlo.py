@@ -316,9 +316,16 @@ class TestEnumeration:
         assert exact.cov_xybar == pytest.approx(m.cov_xybar, rel=1e-9)
         assert exact.mean_y == pytest.approx(m.mean_y, rel=1e-12)
 
-    def test_limit_enforced(self, pop1, ds1):
-        with pytest.raises(ValueError):
-            sm.enumerate_exact_moments(pop1, ds1.sample_sizes, limit=100)
+    def test_limit_enforced(self):
+        """One 40-unit stratum sampled 10: C(40, 10) = 847,660,528 samples,
+        refused before any is formed, naming the count and the limit."""
+        units = np.arange(40.0)
+        pop = sm.Microdata((sm.MicrodataStratum(1, units, units + 1.0),))
+        assert sm.enumeration_count(pop, (10,)) == math.comb(40, 10) > montecarlo.ENUMERATION_LIMIT
+        with pytest.raises(ValueError) as err:
+            sm.enumerate_exact_moments(pop, (10,))
+        assert f"{math.comb(40, 10)}" in str(err.value)
+        assert f"{montecarlo.ENUMERATION_LIMIT}" in str(err.value)
 
     def test_large_mean_against_exact_rationals(self):
         """y = x = 1e6 + N(0, 1): the centred strata keep var_ybar within
@@ -406,7 +413,7 @@ def test_enumeration_of_one_large_stratum():
 def report(ds1, pop1):
     specs = [
         sm.EstimatorSpec(K.UNBIASED),
-        sm.EstimatorSpec(K.T1, sm.ShapeParams(w=1.0)),
+        sm.EstimatorSpec(K.T1, w=1.0),
         sm.EstimatorSpec(K.T6),
     ]
     return sm.replicate(pop1, ds1.sample_sizes, specs, reps=20_000, seed=3)
@@ -499,7 +506,7 @@ class TestReplicate:
         )
         pop = sm.synthesize_population(sm.DesignSummary(strata), seed=4)
         report = sm.replicate(
-            pop, (2,), [sm.EstimatorSpec(K.T1, sm.ShapeParams(w=0.5))], reps=1000, seed=2
+            pop, (2,), [sm.EstimatorSpec(K.T1, w=0.5)], reps=1000, seed=2
         )
         row = report.rows[0]
         assert row.error_counts.get("non-positive-base", 0) > 0
@@ -519,12 +526,12 @@ def test_block_states_pool_like_sequential_merges(monkeypatch):
     pop = sm.synthesize_population(sm.DesignSummary(strata), seed=4)
     n, reps, seed = (2,), 400, 5
     specs = [
-        sm.EstimatorSpec(K.T1, sm.ShapeParams(w=0.5)),
+        sm.EstimatorSpec(K.T1, w=0.5),
         sm.EstimatorSpec(K.T2),
         sm.EstimatorSpec(K.COMBINED_RATIO),
         sm.EstimatorSpec(K.UNBIASED),
         sm.EstimatorSpec(K.T5),
-        sm.EstimatorSpec(K.T1, sm.ShapeParams(w=0.5)),
+        sm.EstimatorSpec(K.T1, w=0.5),
     ]
     report = sm.replicate(pop, n, specs, reps, seed)
 

@@ -18,17 +18,17 @@ DS2_MSE_RATIO = 858.2853038894718
 DS2_SHAPE_MIN = 702.1373972823694
 
 
-def analyze(kind, m, shape=None, k1=None, k2=None):
-    return sm.analyze(sm.EstimatorSpec(kind, shape, k1=k1, k2=k2), m)
+def analyze(kind, m, **constants):
+    return sm.analyze(sm.EstimatorSpec(kind, **constants), m)
 
 
 def t1(w):
-    return sm.ShapeParams(w=w)
+    return dict(w=w)
 
 
 def t2(delta):
     """The T2 shape whose first-order coefficient is ``delta``."""
-    return sm.ShapeParams(p=1.0, a=0.0, b=delta)
+    return dict(p=1.0, a=0.0, b=delta)
 
 
 class TestBaselineMse:
@@ -55,13 +55,13 @@ class TestBaselineMse:
 
 class TestShapeMse:
     def test_zero_parameter_is_unbiased(self, m1):
-        assert analyze(K.T1, m1, t1(0.0)).mse == m1.var_ybar
-        assert analyze(K.T2, m1, t2(0.0)).mse == m1.var_ybar
+        assert analyze(K.T1, m1, **t1(0.0)).mse == m1.var_ybar
+        assert analyze(K.T2, m1, **t2(0.0)).mse == m1.var_ybar
 
     def test_reductions_to_baselines(self, m1):
-        assert analyze(K.T1, m1, t1(1.0)).mse == pytest.approx(DS1_MSE_RATIO, rel=1e-14)
-        assert analyze(K.T2, m1, t2(1.0)).mse == pytest.approx(DS1_MSE_PRODUCT, rel=1e-14)
-        assert analyze(K.T2, m1, t2(-1.0)).mse == pytest.approx(DS1_MSE_RATIO, rel=1e-14)
+        assert analyze(K.T1, m1, **t1(1.0)).mse == pytest.approx(DS1_MSE_RATIO, rel=1e-14)
+        assert analyze(K.T2, m1, **t2(1.0)).mse == pytest.approx(DS1_MSE_PRODUCT, rel=1e-14)
+        assert analyze(K.T2, m1, **t2(-1.0)).mse == pytest.approx(DS1_MSE_RATIO, rel=1e-14)
 
     def test_optimal_shape_ds1(self, m1):
         res = analyze(K.T1, m1)
@@ -95,7 +95,7 @@ class TestShapeMse:
 
     def test_optimum_dominates_scan(self, m1):
         w_grid = np.linspace(-3.0, 3.0, 2001)
-        values = [analyze(K.T1, m1, t1(w)).mse for w in w_grid]
+        values = [analyze(K.T1, m1, **t1(w)).mse for w in w_grid]
         res = analyze(K.T1, m1)
         assert res.mse <= min(values) + 1e-12
 
@@ -104,51 +104,51 @@ class TestDualMse:
     def test_unit_reduction_matches_shape(self, m1, m2):
         for m in (m1, m2):
             for w in (0.3, 1.0, DS1_W_OPT):
-                shape = sm.ShapeParams(w=w)
+                shape = dict(w=w)
                 for kind in (K.T3, K.T5):
-                    dual = analyze(kind, m, shape, 1.0, 0.0).mse
-                    assert dual == pytest.approx(analyze(K.T1, m, shape).mse, rel=1e-12)
-            shape = sm.ShapeParams(p=1.0, a=1.0, b=0.0)
+                    dual = analyze(kind, m, **shape, k1=1.0, k2=0.0).mse
+                    assert dual == pytest.approx(analyze(K.T1, m, **shape).mse, rel=1e-12)
+            shape = dict(p=1.0, a=1.0, b=0.0)
             for kind in (K.T4, K.T6):
-                dual = analyze(kind, m, shape, 1.0, 0.0).mse
+                dual = analyze(kind, m, **shape, k1=1.0, k2=0.0).mse
                 assert dual == pytest.approx(analyze(K.COMBINED_RATIO, m).mse, rel=1e-12)
 
     def test_t6_ratio_shape_ds1(self, m1):
-        got = analyze(K.T6, m1, sm.ShapeParams(p=1.0, a=1.0, b=0.0), 1.0, 0.0).mse
+        got = analyze(K.T6, m1, p=1.0, a=1.0, b=0.0, k1=1.0, k2=0.0).mse
         assert got == pytest.approx(3.4724, rel=5e-3)
 
     def test_optimal_dual_frozen_ds1(self, m1):
         # frozen from the normal-equation oracle on the published inputs
-        k1, k2 = sm.optimal_dual(K.T3, sm.ShapeParams(w=DS1_W_OPT), m1)
+        k1, k2 = sm.optimal_dual(sm.EstimatorSpec(K.T3, w=DS1_W_OPT), m1)
         assert k1 == pytest.approx(1.000426221386015, rel=1e-12)
         assert k2 == pytest.approx(-0.00010435232801519796, rel=1e-9)
-        res = analyze(K.T3, m1, sm.ShapeParams(w=DS1_W_OPT))
+        res = analyze(K.T3, m1, w=DS1_W_OPT)
         assert (res.constants["k1"], res.constants["k2"]) == (k1, k2)
         assert res.mse == pytest.approx(2.7851028668317954, rel=1e-12)
-        res5 = analyze(K.T5, m1, sm.ShapeParams(w=DS1_W_OPT))
+        res5 = analyze(K.T5, m1, w=DS1_W_OPT)
         assert res5.mse == pytest.approx(2.7851044051479192, rel=1e-12)
-        res4 = analyze(K.T4, m1, sm.ShapeParams(p=1.0, a=1.0, b=0.0))
+        res4 = analyze(K.T4, m1, p=1.0, a=1.0, b=0.0)
         assert res4.mse == pytest.approx(2.786272851558148, rel=1e-12)
-        res6 = analyze(K.T6, m1, sm.ShapeParams(p=1.0, a=1.0, b=0.0))
+        res6 = analyze(K.T6, m1, p=1.0, a=1.0, b=0.0)
         assert res6.mse == pytest.approx(2.7837109926117662, rel=1e-12)
 
     def test_optimum_beats_unit_constants(self, m1, m2):
         shapes = {
-            K.T3: sm.ShapeParams(w=0.9),
-            K.T5: sm.ShapeParams(w=0.9),
-            K.T4: sm.ShapeParams(p=1.0, a=1.0, b=0.0),
-            K.T6: sm.ShapeParams(p=1.0, a=1.0, b=0.0),
+            K.T3: dict(w=0.9),
+            K.T5: dict(w=0.9),
+            K.T4: dict(p=1.0, a=1.0, b=0.0),
+            K.T6: dict(p=1.0, a=1.0, b=0.0),
         }
         for m in (m1, m2):
             for kind, shape in shapes.items():
-                res = analyze(kind, m, shape)
-                at_unit = analyze(kind, m, shape, 1.0, 0.0).mse
+                res = analyze(kind, m, **shape)
+                at_unit = analyze(kind, m, **shape, k1=1.0, k2=0.0).mse
                 assert res.mse <= at_unit * (1.0 + 1e-12)
 
     def test_optimum_dominates_grid(self, m1):
         """Grid oracle: no (k1, k2) on [0,2] x [-3R,3R] beats the optimum."""
-        shape = sm.ShapeParams(w=DS1_W_OPT)
-        form = sm.quadratic_form(K.T5, shape, m1)
+        shape = dict(w=DS1_W_OPT)
+        form = sm.quadratic_form(sm.EstimatorSpec(K.T5, **shape), m1)
         k1g = np.linspace(0.0, 2.0, 201)[:, None]
         k2g = np.linspace(-3 * m1.ratio, 3 * m1.ratio, 601)[None, :]
         grid = (
@@ -159,17 +159,17 @@ class TestDualMse:
             + 2 * form.d * k2g
             - 2 * form.e * k1g * k2g
         )
-        res = analyze(K.T5, m1, shape)
+        res = analyze(K.T5, m1, **shape)
         assert res.mse <= grid.min() + 1e-9 * abs(grid.min())
 
     def test_t5_optimal_k2_vanishes_at_w_opt(self, m1):
         # at w = w_opt the difference direction carries no extra information
-        _, k2 = sm.optimal_dual(K.T5, sm.ShapeParams(w=DS1_W_OPT), m1)
+        _, k2 = sm.optimal_dual(sm.EstimatorSpec(K.T5, w=DS1_W_OPT), m1)
         assert k2 == 0.0
 
     def test_zero_aux_variance_limit(self, m1):
         m = dataclasses.replace(m1, var_xbar=0.0, cov_xybar=0.0)
-        res = analyze(K.T5, m, sm.ShapeParams(w=1.0))
+        res = analyze(K.T5, m, w=1.0)
         k1, k2 = res.constants["k1"], res.constants["k2"]
         y2 = m.mean_y**2
         assert res.singular_system
@@ -178,8 +178,8 @@ class TestDualMse:
         assert res.mse == pytest.approx(y2 * m.var_ybar / (y2 + m.var_ybar), rel=1e-12)
 
     def test_quadratic_value_is_consistent(self, m1):
-        form = sm.quadratic_form(K.T4, sm.ShapeParams(p=1.0, a=1.0, b=0.0), m1)
-        direct = analyze(K.T4, m1, sm.ShapeParams(p=1.0, a=1.0, b=0.0), 0.9, 0.1).mse
+        form = sm.quadratic_form(sm.EstimatorSpec(K.T4, p=1.0, a=1.0, b=0.0), m1)
+        direct = analyze(K.T4, m1, p=1.0, a=1.0, b=0.0, k1=0.9, k2=0.1).mse
         assert form.value(0.9, 0.1) == direct
         # the docstring's a k1**2 - 2 c k1 spelling of the same surface
         spelled = (
@@ -191,11 +191,11 @@ class TestDualMse:
 
 class TestBias:
     def test_t1_degenerate(self, m1):
-        assert sm.first_order_bias(sm.EstimatorSpec(K.T1, sm.ShapeParams(w=0.0)), m1) == 0.0
+        assert sm.first_order_bias(sm.EstimatorSpec(K.T1, w=0.0), m1) == 0.0
 
     def test_t1_linear_case(self, m1):
         # at w = 1 the transform is linear, so the bias is -cov/mean_x exactly
-        got = sm.first_order_bias(sm.EstimatorSpec(K.T1, sm.ShapeParams(w=1.0)), m1)
+        got = sm.first_order_bias(sm.EstimatorSpec(K.T1, w=1.0), m1)
         assert got == pytest.approx(-m1.cov_xybar / m1.mean_x, rel=1e-14)
 
     def test_product_bias(self, m1):
@@ -208,9 +208,9 @@ class TestBias:
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_dual_reduces_to_shape_bias(self, m1):
-        shape = sm.ShapeParams(w=1.4)
-        dual = sm.first_order_bias(sm.EstimatorSpec(K.T5, shape, k1=1.0, k2=0.0), m1)
-        plain = sm.first_order_bias(sm.EstimatorSpec(K.T1, shape), m1)
+        shape = dict(w=1.4)
+        dual = sm.first_order_bias(sm.EstimatorSpec(K.T5, **shape, k1=1.0, k2=0.0), m1)
+        plain = sm.first_order_bias(sm.EstimatorSpec(K.T1, **shape), m1)
         assert dual == plain
 
 
@@ -255,16 +255,16 @@ class TestEfficiencyTable:
             assert [r.label for r in by_mse] == [r.label for r in by_pre]
 
     def test_custom_spec_order_preserved(self, ds1):
-        specs = [sm.EstimatorSpec(K.UNBIASED), sm.EstimatorSpec(K.T1, sm.ShapeParams(w=1.0))]
+        specs = [sm.EstimatorSpec(K.UNBIASED), sm.EstimatorSpec(K.T1, w=1.0)]
         rows = sm.efficiency_table(ds1, specs)
         assert [r.label for r in rows] == ["unbiased", "t1"]
         assert rows[1].constants == {"w": 1.0}
 
 
 def test_analyze_explicit_dual_constants(m1):
-    spec = sm.EstimatorSpec(K.T5, sm.ShapeParams(w=1.0), k1=0.9, k2=0.5)
+    spec = sm.EstimatorSpec(K.T5, w=1.0, k1=0.9, k2=0.5)
     res = sm.analyze(spec, m1)
-    form = sm.quadratic_form(K.T5, sm.ShapeParams(w=1.0), m1)
+    form = sm.quadratic_form(sm.EstimatorSpec(K.T5, w=1.0), m1)
     assert res.mse == form.value(0.9, 0.5)
     assert res.bias == sm.first_order_bias(spec, m1)
     assert res.constants == {"w": 1.0, "k1": 0.9, "k2": 0.5}
@@ -273,15 +273,15 @@ def test_analyze_explicit_dual_constants(m1):
 
 def test_resolve_spec_defaults(m1):
     resolved = sm.resolve_spec(sm.EstimatorSpec(K.T6), m1)
-    assert resolved.shape == sm.ShapeParams(p=1.0, a=1.0, b=0.0)
+    assert resolved.shape() == (1.0, 1.0, 0.0)
     assert resolved.k1 is not None and resolved.k2 is not None
     resolved_t3 = sm.resolve_spec(sm.EstimatorSpec(K.T3), m1)
-    assert resolved_t3.shape.w == pytest.approx(DS1_W_OPT, rel=1e-14)
+    assert resolved_t3.w == pytest.approx(DS1_W_OPT, rel=1e-14)
 
 
 def test_resolve_spec_rejects_partial_duals(m1):
     with pytest.raises(ValueError):
-        sm.resolve_spec(sm.EstimatorSpec(K.T5, sm.ShapeParams(w=1.0), k1=0.9), m1)
+        sm.resolve_spec(sm.EstimatorSpec(K.T5, w=1.0, k1=0.9), m1)
 
 
 def test_optimal_dual_solved_once_per_unresolved_spec(ds1, m1, monkeypatch):
@@ -289,7 +289,7 @@ def test_optimal_dual_solved_once_per_unresolved_spec(ds1, m1, monkeypatch):
     solve = sm.mse.optimal_dual
 
     def counting(*args):
-        calls.append(args[0])
+        calls.append(args[0].kind)
         return solve(*args)
 
     monkeypatch.setattr(sm.mse, "optimal_dual", counting)
@@ -335,6 +335,6 @@ def test_indefinite_surface_is_flagged():
     s = sm.StratumSummary(1, N=2, n=1, mean_y=1.0, mean_x=0.5, var_y=1.0,
                           var_x=1.0, cov_xy=0.0)
     m = sm.aggregate_moments(sm.DesignSummary((s,)))
-    form = sm.quadratic_form(K.T4, sm.ShapeParams(p=1.0, a=1.0, b=0.0), m)
+    form = sm.quadratic_form(sm.EstimatorSpec(K.T4, p=1.0, a=1.0, b=0.0), m)
     assert (form.ybar_sq + form.a) * form.b - form.e * form.e < 0.0
     assert analyze(K.T4, m).singular_system
