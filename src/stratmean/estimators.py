@@ -163,22 +163,27 @@ def transform_coefficients(spec: EstimatorSpec) -> tuple[float, float]:
     return p * (b - a), (p * p * (a - b) ** 2 + p * (b * b - a * a + 2.0 * (a - b))) / 2.0
 
 
-def _guarded_power(num: np.ndarray, den: np.ndarray, e: float):
+def _guarded_power(num: np.ndarray, den: np.ndarray | float, e: float):
     """(num / den) ** e where it is real, with masks where it is not.
 
-    ``num`` and ``den`` are float arrays of one shape.  Returns (powed,
-    zero_den, bad_base): zero_den marks a vanishing denominator, or a zero
-    base raised to a negative integer power; bad_base marks a non-positive
-    base raised to a fractional power.  ``powed`` is nan where either holds.
+    ``num`` is a float array and ``den`` one of its shape, or a nonzero
+    float, which needs no zero check.  Returns (powed, zero_den, bad_base):
+    zero_den marks a vanishing denominator, or a zero base raised to a
+    negative integer power; bad_base marks a non-positive base raised to a
+    fractional power.  ``powed`` is nan where either holds.
     """
     with np.errstate(all="ignore"):
         base = num / den
-        zero_den = den == 0.0
+        scalar_den = not isinstance(den, np.ndarray)
+        zero_den = np.zeros(base.shape, dtype=bool) if scalar_den else den == 0.0
         if float(e).is_integer():
             bad_base = np.zeros_like(zero_den)
-            zero_den = zero_den | ((base == 0.0) & (e < 0))
+            if e < 0:
+                zero_den |= base == 0.0
         else:
-            bad_base = ~zero_den & (base <= 0.0)
+            bad_base = base <= 0.0
+            if not scalar_den:
+                bad_base &= ~zero_den
         invalid = zero_den | bad_base
         if invalid.any():
             powed = np.where(invalid, np.nan, np.power(np.where(invalid, 1.0, base), e))
@@ -242,7 +247,7 @@ def estimate_many(
         if key not in transforms:
             if spec.kind.uses_exponent:
                 (w,) = key
-                powed, zero_den, bad_base = _guarded_power(xbar, np.full_like(xbar, mean_x), w)
+                powed, zero_den, bad_base = _guarded_power(xbar, mean_x, w)
                 factor = 2.0 - powed
             else:
                 p, a, b = key

@@ -42,7 +42,7 @@ from .design import (
     design_from_microdata,
     summarize_stratum,
 )
-from .errors import DegenerateStratum, InfeasibleMoments
+from .errors import ComputationError, DegenerateStratum, InfeasibleMoments
 from .estimators import EstimatorSpec, estimate_many
 
 #: Replication block size; part of the random-stream definition.
@@ -159,7 +159,8 @@ def synthesize_population(
 
 def _floyd_picks(rng: np.random.Generator, N: int, m: int, count: int) -> np.ndarray:
     """``count`` independent m-subsets of range(N) (Floyd, 1987), one for
-    each row of a block, as an (m, count) array: ``picks[:, r]`` is row r's.
+    each row of a block, as an (m, count) ``intp`` array: ``picks[:, r]`` is
+    row r's.
 
     Step j (N-m <= j < N) draws t uniform on 0..j and keeps t, or j where
     the row already holds t; every m-subset comes out equally likely.  The
@@ -167,20 +168,20 @@ def _floyd_picks(rng: np.random.Generator, N: int, m: int, count: int) -> np.nda
 
     The work is stratum-major: ``picks[i]`` holds step i for all ``count``
     rows, so the check reduces over the outer, contiguous axis, and a
-    repeat is marked in place.  The random numbers are one ``integers`` call
-    of ``count`` per step, in step order, the stream a row-major loop makes.
-    ``_gathered_sum`` gathers this index one step at a time and adds the
-    steps in numpy's pairwise order, so each row's sum has the bits of a
-    row-major (count, m) gather summed along axis 1, for a given numpy
-    build.
+    repeat is marked in place.  While N <= 2**15 the picks are held in 16
+    bits, so the check reads a quarter of the bytes, and are widened to
+    ``intp`` once at the end.  The random numbers are one ``integers`` call
+    of ``count`` per step, in step order, the stream a row-major loop makes;
+    only their copies are narrowed, since an ``int16`` draw is another
+    stream.
     """
-    picks = np.empty((m, count), dtype=np.intp)
+    picks = np.empty((m, count), dtype=np.int16 if N <= 1 << 15 else np.intp)
     for i, j in enumerate(range(N - m, N)):
-        t = rng.integers(0, j + 1, size=count)
+        step = picks[i]
+        step[...] = rng.integers(0, j + 1, size=count)
         if i:  # step 0 has no earlier pick to repeat
-            np.putmask(t, (picks[:i] == t).any(axis=0), j)
-        picks[i] = t
-    return picks
+            np.putmask(step, np.logical_or.reduce(picks[:i] == step, axis=0), j)
+    return picks.astype(np.intp, copy=False)
 
 
 def _gathered_sum(v: np.ndarray, picks: np.ndarray) -> np.ndarray:
@@ -191,13 +192,15 @@ def _gathered_sum(v: np.ndarray, picks: np.ndarray) -> np.ndarray:
     joined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), and the remainder follows
     in sequence; more terms split at n//2 - (n//2)%8 and recurse.  So each
     row gets the bits of ``v[picks.T].sum(axis=1)`` on a C-ordered index.
+    ``v`` may be complex: a complex add is one IEEE add per part, so the
+    real and imaginary parts each get the bits of their own sum.
     """
     m = len(picks)
     if m > 128:
         half = m // 2 - (m // 2) % 8
         return _gathered_sum(v, picks[:half]) + _gathered_sum(v, picks[half:])
     if m < 8:
-        acc = v[picks[0]] if m else np.zeros(picks.shape[1])
+        acc = v[picks[0]] if m else np.zeros(picks.shape[1], dtype=v.dtype)
         rest = picks[1:]
     else:
         r = [v[p] for p in picks[:8]]
@@ -226,18 +229,21 @@ def _draw_block(
     algorithm.  When m < n_h the drawn units are the ones left out, and the
     sample sum is the stratum total minus theirs.  A census stratum
     (n_h = N_h) leaves out m = 0 units: it draws no random numbers and
-    contributes its mean to every row.
+    contributes its mean to every row.  The units are gathered once, from a
+    complex array with y as the real part and x as the imaginary part, and
+    ``_gathered_sum`` sums both at once with the bits of two real sums.
     """
     yb = np.zeros(count)
     xb = np.zeros(count)
     for s, nh, w in zip(pop.strata, n, weights):
         m = min(nh, s.N - nh)
-        picks = _floyd_picks(rng, s.N, m, count)
-        sum_y, sum_x = _gathered_sum(s.y, picks), _gathered_sum(s.x, picks)
+        units = np.empty(s.N, dtype=np.complex128)
+        units.real, units.imag = s.y, s.x
+        sums = _gathered_sum(units, _floyd_picks(rng, s.N, m, count))
         if m < nh:  # the drawn units are the complement of the sample
-            sum_y, sum_x = float(s.y.sum()) - sum_y, float(s.x.sum()) - sum_x
-        yb += w * sum_y / nh
-        xb += w * sum_x / nh
+            sums = complex(float(s.y.sum()), float(s.x.sum())) - sums
+        yb += w * sums.real / nh
+        xb += w * sums.imag / nh
     return yb, xb
 
 
@@ -318,7 +324,10 @@ def replicate(
     weights = pop.weights
 
     resolved = [mse_mod.resolve_spec(spec, m) for spec in specs]
-    theory = [mse_mod.analyze(spec, m) for spec in resolved]
+    theory = [mse_mod.mse_and_bias(spec, m) for spec in resolved]
+    for spec, (theo_mse, theo_bias) in zip(resolved, theory):
+        if math.isnan(theo_mse) or math.isnan(theo_bias):
+            raise ComputationError(f"{spec.label}: first-order MSE or bias is nan")
 
     k = len(resolved)
     errors: list[dict[str, int]] = [{} for _ in resolved]
@@ -360,7 +369,7 @@ def replicate(
         (run_block(b, min(_BLOCK, reps - s)) for b, s in enumerate(range(0, reps, _BLOCK))),
     )
     rows = []
-    for i, (spec, theo) in enumerate(zip(resolved, theory)):
+    for i, (spec, (theo_mse, theo_bias)) in enumerate(zip(resolved, theory)):
         valid = int(pooled[i])
         mean_v, ss_v = float(pooled_means[i]), float(pooled_sums[i])
         emp_mse, ss_q = float(pooled_means[k + i]), float(pooled_sums[k + i])
@@ -374,8 +383,8 @@ def replicate(
         if reps < MIN_REPS_FOR_VERDICT:
             verdict = "insufficient-replications"
         else:
-            mse_ok = abs(emp_mse - theo.mse) <= max(3.0 * se_mse, 0.05 * abs(theo.mse))
-            bias_ok = abs(emp_bias - theo.bias) <= max(
+            mse_ok = abs(emp_mse - theo_mse) <= max(3.0 * se_mse, 0.05 * abs(theo_mse))
+            bias_ok = abs(emp_bias - theo_bias) <= max(
                 3.0 * se_bias, 0.10 * math.sqrt(m.var_ybar / reps)
             )
             if mse_ok and bias_ok:
@@ -398,8 +407,8 @@ def replicate(
                 empirical_mse=emp_mse,
                 se_bias=se_bias,
                 se_mse=se_mse,
-                theoretical_bias=theo.bias,
-                theoretical_mse=theo.mse,
+                theoretical_bias=theo_bias,
+                theoretical_mse=theo_mse,
                 verdict=verdict,
             )
         )

@@ -234,19 +234,29 @@ def resolve_spec(spec: EstimatorSpec, m: CombinedMoments) -> EstimatorSpec:
 
 
 @_arithmetic_checked
+def mse_and_bias(spec: EstimatorSpec, m: CombinedMoments) -> tuple[float, float]:
+    """First-order (MSE, bias) of a spec with resolved constants.
+
+    No PRE is formed, so a non-positive MSE is returned, not raised.
+    """
+    mse_value = quadratic_form(spec, m).value(*spec.dual_constants())
+    return mse_value, first_order_bias(spec, m)
+
+
+@_arithmetic_checked
 def analyze(spec: EstimatorSpec, m: CombinedMoments) -> MseResult:
     """Resolve constants and compute the spec's first-order MSE result."""
     resolved = resolve_spec(spec, m)
-    form = quadratic_form(resolved, m)
-    mse_value = form.value(*resolved.dual_constants())
+    mse_value, bias = mse_and_bias(resolved, m)
+    dual_optimum = spec.kind.is_dual and spec.k1 is None
     return MseResult(
         kind=spec.kind,
         mse=mse_value,
-        bias=first_order_bias(resolved, m),
+        bias=bias,
         pre=pre(mse_value, m),
         constants=resolved.constants(),
         shape_unidentified=m.var_xbar == 0.0 and _optimizes_shape(spec),
-        singular_system=spec.kind.is_dual and spec.k1 is None and form.singular,
+        singular_system=dual_optimum and quadratic_form(resolved, m).singular,
     )
 
 

@@ -585,6 +585,21 @@ class TestSimulate:
         assert code == 5
         assert "insufficient-replications" in out
 
+    @pytest.mark.parametrize("strict, want", [((), 0), (("--strict",), 5)])
+    def test_negative_first_order_mse_is_a_verdict(self, capsys, strict, want):
+        # T6's default optimum has a first-order MSE of -276.8 here; simulate
+        # forms no PRE, so the row is reported as divergent, not an error
+        data = str(Path(__file__).with_name("invalid_draws.json"))
+        code, out, err = run_cli(
+            capsys, "simulate", "--data", data, "--reps", "2000",
+            "--output-format", "json", "--full-precision", *strict,
+        )
+        assert (code, err) == (want, "")
+        rows = {r["estimator"]: r for r in json.loads(out)["rows"]}
+        assert list(rows) == [kind.value for kind in sm.EstimatorKind]
+        assert rows["t6"]["theoretical_mse"] < 0.0
+        assert rows["t6"]["verdict"] == "mse+bias-divergent"
+
 
 class TestExitCodes:
     def test_unknown_dataset(self, capsys):
@@ -682,6 +697,16 @@ class TestExitCodes:
         )
         assert code == 4
         assert err.startswith("error:non-positive-base:")
+
+    def test_nan_first_order_mse_stops_simulate(self, capsys):
+        # w = 1e200 overflows T1's Taylor terms and the MSE comes out nan,
+        # which no verdict can compare
+        code, out, err = run_cli(
+            capsys, "simulate", "--data", "paper-1", "--estimators", "t1",
+            "--w", "1e200", "--reps", "2000",
+        )
+        assert (code, out) == (4, "")
+        assert err == "error:computation: t1: first-order MSE or bias is nan\n"
 
     @pytest.mark.parametrize(
         "flags, kinds",

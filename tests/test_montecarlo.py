@@ -220,10 +220,11 @@ def _row_major_sample_means(rng, stratum, n, count):
 @pytest.mark.parametrize(
     "N, n",
     [(6, 3), (7, 5), (12, 4), (7, 1), (985, 6), (2196, 8), (1020, 11), (6, 6),
-     (40, 16), (60, 24), (400, 150)],
+     (40, 16), (60, 24), (400, 150), (1 << 15, 4), (40000, 3)],
 )
 def test_draw_keeps_row_major_stream_and_bits(N, n):
-    """Same random numbers consumed, same picks, same summed bits per row."""
+    """Same random numbers consumed, same picks, same summed bits per row;
+    2**15 units is the last size whose repeat check runs on 16-bit picks."""
     values = np.random.default_rng(N * 100 + n).standard_normal((2, N))
     stratum = sm.MicrodataStratum(1, 1e3 + 37.0 * values[0], 1e5 * values[1])
     rng = np.random.default_rng(N + n)

@@ -302,6 +302,23 @@ def test_optimal_dual_solved_once_per_unresolved_spec(ds1, m1, monkeypatch):
     assert len(calls) == 1
 
 
+def test_mse_and_bias_is_analyze_without_pre(m1):
+    """The (MSE, bias) pair that replicate compares against is analyze's;
+    a negative MSE, which has no PRE, is returned rather than raised."""
+    for spec in sm.default_table_specs():
+        result = sm.analyze(spec, m1)
+        resolved = sm.resolve_spec(spec, m1)
+        assert sm.mse.mse_and_bias(resolved, m1) == (result.mse, result.bias)
+    s = sm.StratumSummary(1, N=8, n=2, mean_y=10.0, mean_x=0.5, var_y=1.0,
+                          var_x=4.0, cov_xy=0.0)
+    m = sm.aggregate_moments(sm.DesignSummary((s,)))
+    resolved = sm.resolve_spec(sm.EstimatorSpec(K.T6), m)
+    mse_value, _ = sm.mse.mse_and_bias(resolved, m)
+    assert mse_value < 0.0
+    with pytest.raises(ZeroMse):
+        sm.analyze(resolved, m)
+
+
 def _one_stratum_moments(mean_y, var_x, cov_xy):
     s = sm.StratumSummary(1, N=2, n=1, mean_y=mean_y, mean_x=1.0, var_y=1.0,
                           var_x=var_x, cov_xy=cov_xy)
@@ -314,11 +331,14 @@ def _one_stratum_moments(mean_y, var_x, cov_xy):
         # optimal w = cov_xybar / (R var_xbar) ~ 2e154 overflows T2's curvature
         (lambda m: sm.analyze(sm.EstimatorSpec(K.T2), m), 1.0, 2.2e-309, 4.7e-155,
          "OverflowError: "),
+        # the same overflow through the helper that replicate calls
+        (lambda m: sm.mse.mse_and_bias(sm.EstimatorSpec(K.T2, p=1.0, a=0.0, b=-2e154), m),
+         1.0, 2.2e-309, 4.7e-155, "OverflowError: "),
         # R var_xbar ~ 5e-401 underflows to zero in the optimal w
         (lambda m: sm.resolve_spec(sm.EstimatorSpec(K.T1), m), 1e-300, 1e-100, 1e-51,
          "ZeroDivisionError: "),
     ],
-    ids=["analyze-overflow", "resolve-underflow"],
+    ids=["analyze-overflow", "mse-and-bias-overflow", "resolve-underflow"],
 )
 def test_arithmetic_failure_is_computation_error(call, mean_y, var_x, cov_xy, cause):
     m = _one_stratum_moments(mean_y, var_x, cov_xy)
