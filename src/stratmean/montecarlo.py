@@ -5,8 +5,10 @@ exactly, replicates stratified SRSWOR draws, and compares the empirical
 bias/MSE of every estimator against the first-order formulas.  Exhaustive
 enumeration of all samples is available where the combination count is
 feasible, giving exact design moments instead of simulated ones.  It
-streams the samples in chunks of at most ``_CHUNK``, in one fixed order, so
-its memory is bounded by the chunk and not by the sample count.
+streams the samples in chunks of at most ``_CHUNK``, in one fixed run-major
+order, and adds each chunk into running raw sums over strata centred on
+their own means, so its memory is bounded by the chunk and not by the
+sample count.
 
 A population is a ``design.Microdata``: every public function here takes
 one, and checks its sample sizes with ``design.checked_sample_sizes``.  It
@@ -24,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -48,7 +49,8 @@ from .estimators import EstimatorSpec, estimate_many
 #: Replication block size; part of the random-stream definition.
 _BLOCK = 4096
 
-#: Most samples in one chunk of the exact enumeration; fixes its sum order.
+#: Most samples in one chunk of the exact enumeration.  With the strata's
+#: sample counts it fixes the runs, the chunks and so the order of the sums.
 _CHUNK = 1 << 14
 
 #: Most samples ``enumerate_exact_moments`` forms; past it, use ``replicate``.
@@ -422,20 +424,27 @@ def replicate(
     )
 
 
-def _subset_sums(v: np.ndarray, k: int) -> np.ndarray:
-    """Sums of the k-subsets of ``v`` in ``itertools.combinations`` order.
+def _subset_sum_runs(v: np.ndarray, k: int, rows: int):
+    """Sums of the k-subsets of ``v`` in ``itertools.combinations`` order,
+    ``rows`` at a time; the last run may be shorter.
 
     The j-subsets of v[i:] are v[i] plus each (j-1)-subset of v[i+1:],
     followed by the j-subsets of v[i+1:].  So the sums over a suffix are
     the tail of those over a longer one, and size j, over v[m-j:], is built
-    from size j - 1 in N - m + 1 slices.  As in ``_draw_block``,
-    m = min(k, N - k): for m < k the sums are the total minus those of the
-    m left-out units, in reverse order, since complements reverse the order.
+    from size j - 1 in N - m + 1 slices.  The sizes below m are held whole,
+    the last of them C(N - 1, m - 1) sums; size m is formed from its slices
+    one run at a time.  As in ``_draw_block``, m = min(k, N - k): for m < k
+    the sums are the total minus those of the m left-out units, in reverse
+    order, since complements reverse the order.
     """
     N = v.size
     m = min(k, N - k)
-    level = v[m - 1:] if m else np.zeros(1)
-    for j in range(2, m + 1):
+    total = float(v.sum())
+    if m == 0:  # a census: one sample
+        yield np.array([total])
+        return
+    level = v[m - 1:] if m > 1 else np.zeros(1)
+    for j in range(2, m):
         out = np.empty(math.comb(N - m + j, j))
         pos = 0
         for i in range(m - j, N - j + 1):
@@ -443,46 +452,72 @@ def _subset_sums(v: np.ndarray, k: int) -> np.ndarray:
             np.add(v[i], tail, out=out[pos:pos + tail.size])
             pos += tail.size
         level = out
-    return float(v.sum()) - level[::-1] if m < k else level
+    pieces = [(v[i], level[level.size - math.comb(N - i - 1, m - 1):]) for i in range(N - m + 1)]
+    add = np.add
+    if m < k:  # the total minus each sum: pieces and their tails reversed
+        pieces = [(total - vi, tail[::-1]) for vi, tail in reversed(pieces)]
+        add = np.subtract
+    rows = min(rows, math.comb(N, m))
+    run, filled = np.empty(rows), 0
+    for vi, tail in pieces:
+        while tail.size:
+            take = min(tail.size, rows - filled)
+            add(vi, tail[:take], out=run[filled:filled + take])
+            filled, tail = filled + take, tail[take:]
+            if filled == rows:
+                yield run
+                run, filled = np.empty(rows), 0
+    if filled:
+        yield run[:filled]
+
+
+def _subset_sums(v: np.ndarray, k: int) -> np.ndarray:
+    """Every sum of ``_subset_sum_runs`` in one array."""
+    return next(_subset_sum_runs(v, k, math.comb(v.size, k)))
 
 
 def _enumerated_means(pop: Microdata, n: tuple[int, ...]):
     """Every sample's (ybar_st, xbar_st), in chunks of at most ``_CHUNK``.
 
-    The order is the C order of the stratum axes, the last stratum fastest,
-    each stratum's samples in ``itertools.combinations`` order.  The last
-    strata whose sample counts multiply to at most ``_CHUNK`` form one inner
-    block, broadcast once.  Each chunk adds a run of the preceding
-    stratum's samples, and the outer strata's sum, to that block.
+    Each stratum's samples come in ``itertools.combinations`` order.  The
+    last strata whose sample counts multiply to at most ``_CHUNK`` are the
+    inner strata; the stratum before them is split into runs of
+    ``_CHUNK // (their count)`` samples, and the strata before it are the
+    outer strata, with fewer than ``ENUMERATION_LIMIT / _CHUNK`` samples
+    in all.  The order is (run, outer, row, inner): for each run, the base
+    block of the run's samples by the inner strata's, both in C order, is
+    formed once, and each outer sample, in C order, adds its offset to
+    that block with one contiguous add per variate.  The chunks are views
+    of two buffers that the next chunk overwrites.
     """
-    terms = [
-        (w * (_subset_sums(s.y, nh) / nh), w * (_subset_sums(s.x, nh) / nh))
-        for s, nh, w in zip(pop.strata, n, pop.weights)
-    ]
-    split, size = len(terms), 1
-    while split and size * terms[split - 1][0].size <= _CHUNK:
+    strata = list(zip(pop.strata, n, pop.weights))
+    counts = [math.comb(s.N, nh) for s, nh, _ in strata]
+    split, size = len(strata) - 1, 1
+    while split and size * counts[split] <= _CHUNK:
+        size *= counts[split]
         split -= 1
-        size *= terms[split][0].size
-    inner_y = inner_x = np.zeros(1)
-    for ty, tx in terms[split:]:
-        inner_y = (inner_y[:, None] + ty).ravel()
-        inner_x = (inner_x[:, None] + tx).ravel()
-    if split == 0:
-        yield inner_y, inner_x
-        return
-    split -= 1  # the stratum whose samples the chunks cut into runs
-    ty, tx = terms[split]
+
+    def lattice(block):
+        """Means of each variate over the C-ordered cross product of ``block``."""
+        y = x = np.zeros(1)
+        for s, nh, w in block:
+            y = (y[:, None] + w * (_subset_sums(s.y, nh) / nh)).ravel()
+            x = (x[:, None] + w * (_subset_sums(s.x, nh) / nh)).ravel()
+        return y, x
+
+    inner_y, inner_x = lattice(strata[split + 1:])
+    outer = list(zip(*(v.tolist() for v in lattice(strata[:split]))))
+    s, nh, w = strata[split]
     rows = _CHUNK // size
-    for outer in product(*(range(t[0].size) for t in terms[:split])):
-        oy = ox = 0.0
-        for (y, x), i in zip(terms, outer):
-            oy += y[i]
-            ox += x[i]
-        for r in range(0, ty.size, rows):
-            yield (
-                ((oy + ty[r:r + rows])[:, None] + inner_y).ravel(),
-                ((ox + tx[r:r + rows])[:, None] + inner_x).ravel(),
-            )
+    buf_y, buf_x = np.empty((2, min(rows, counts[split]) * size))
+    for run_y, run_x in zip(_subset_sum_runs(s.y, nh, rows), _subset_sum_runs(s.x, nh, rows)):
+        base_y = ((w * (run_y / nh))[:, None] + inner_y).ravel()
+        base_x = ((w * (run_x / nh))[:, None] + inner_x).ravel()
+        chunk_y, chunk_x = buf_y[:base_y.size], buf_x[:base_x.size]
+        for oy, ox in outer:
+            np.add(base_y, oy, out=chunk_y)
+            np.add(base_x, ox, out=chunk_x)
+            yield chunk_y, chunk_x
 
 
 def enumeration_count(pop: Microdata, sample_sizes: Sequence[int]) -> int:
@@ -498,15 +533,18 @@ def enumerate_exact_moments(pop: Microdata, sample_sizes: Sequence[int]) -> Comb
     """Design moments of (ybar_st, xbar_st) over every possible sample.
 
     Forms every sample's combined means, chunk by chunk in the fixed order
-    of ``_enumerated_means``, and pools each chunk's means and centred sums
-    in that order with ``_merge_moments``.  Each stratum's y and x are first
-    centred on their own means, which are added back to the pooled means as
-    sum W_h * mean_h: the chunk means then carry no error of order
-    eps * |mean| for the merge to square.  Returns the exact enumeration
+    of ``_enumerated_means``, and adds each chunk into five running sums:
+    of y and x by pairwise ``np.add.reduce``, and of y*y, y*x and x*x by
+    ``np.einsum`` (never BLAS).  Each stratum's y and x are first centred
+    on their own means, which are added back to the means as
+    sum W_h * mean_h: the samples' means then lie near zero, so these raw
+    sums do not cancel against a large mean.  Returns the exact enumeration
     mean/variance/covariance (population divisor: every sample equally
-    likely).  Memory is bounded by the chunk and each stratum's own sample
-    means, not by the sample count.  Raises ValueError when the combination
-    count exceeds ``ENUMERATION_LIMIT``; fall back to seeded replication in that case.
+    likely).  Memory is bounded by the chunk and by the strata's own sample
+    means, of which the stratum split into runs holds only the sums of its
+    (m-1)-subsets, not by the sample count.  Raises ValueError when the
+    combination count exceeds ``ENUMERATION_LIMIT``; fall back to seeded
+    replication in that case.
     """
     n = checked_sample_sizes(pop, sample_sizes)
     total = enumeration_count(pop, n)
@@ -519,13 +557,18 @@ def enumerate_exact_moments(pop: Microdata, sample_sizes: Sequence[int]) -> Comb
         MicrodataStratum(s.index, s.y - my, s.x - mx)
         for s, (my, mx) in zip(pop.strata, centres)
     ))
-    _, (mean_y, mean_x), (s_yy, s_yx, s_xx) = reduce(
-        _merge_moments, (_moments(yb, xb) for yb, xb in _enumerated_means(centred, n))
-    )
+    s_y = s_x = s_yy = s_yx = s_xx = 0.0
+    for yb, xb in _enumerated_means(centred, n):
+        s_y += float(np.add.reduce(yb))
+        s_x += float(np.add.reduce(xb))
+        s_yy += float(np.einsum("i,i->", yb, yb))
+        s_yx += float(np.einsum("i,i->", yb, xb))
+        s_xx += float(np.einsum("i,i->", xb, xb))
+    mean_y, mean_x = s_y / total, s_x / total
     return CombinedMoments(
         mean_y=sum(w * my for w, (my, _) in zip(pop.weights, centres)) + mean_y,
         mean_x=sum(w * mx for w, (_, mx) in zip(pop.weights, centres)) + mean_x,
-        var_ybar=s_yy / total,
-        var_xbar=s_xx / total,
-        cov_xybar=s_yx / total,
+        var_ybar=s_yy / total - mean_y * mean_y,
+        var_xbar=s_xx / total - mean_x * mean_x,
+        cov_xybar=s_yx / total - mean_y * mean_x,
     )

@@ -4,9 +4,12 @@ import itertools
 import math
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import stratmean as sm
 from stratmean import EstimatorKind as K
@@ -359,8 +362,10 @@ def test_subset_sums_in_combinations_order(k):
 
 @pytest.mark.parametrize("case, chunk", [("ds1", 100), ("one-stratum", 50), ("census", 20)])
 def test_enumerated_means_stream_in_fixed_order(case, chunk, pop1, ds1, monkeypatch):
-    """Small chunks, cut inside a stratum's run of samples, joined in order
-    equal one broadcast of the whole cross product."""
+    """Small chunks, joined in order, equal one broadcast of the whole cross
+    product taken in (run, outer, row, inner) order: the split stratum in
+    runs of ``chunk // size`` samples, the outer strata before it and the
+    inner strata after it, whose counts multiply to ``size``."""
     if case == "ds1":
         pop, n = pop1, ds1.sample_sizes
     elif case == "one-stratum":
@@ -368,16 +373,25 @@ def test_enumerated_means_stream_in_fixed_order(case, chunk, pop1, ds1, monkeypa
     else:  # the middle stratum is a census; the last one takes the complement
         pop = sm.Microdata((_stratum(1, 4, 2), _stratum(2, 5, 3), _stratum(3, 7, 4)))
         n = (2, 5, 5)
+    counts = [math.comb(s.N, nh) for s, nh in zip(pop.strata, n)]
+    split, size = len(n) - 1, 1
+    while split and size * counts[split] <= chunk:
+        size *= counts[split]
+        split -= 1
+    rows = chunk // size
     monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
-    chunks = list(_enumerated_means(pop, n))
+    chunks = [(yb.copy(), xb.copy()) for yb, xb in _enumerated_means(pop, n)]
     sizes = [yb.size for yb, _ in chunks]
-    total = sm.enumeration_count(pop, n)
-    first_run = total // math.comb(pop.strata[0].N, n[0]) if len(n) > 1 else total
-    assert len(chunks) > 2 and max(sizes) <= chunk and sum(sizes) == total
-    assert sizes[0] % first_run != 0  # the first chunk ends inside a run of samples
+    assert len(chunks) > 2 and max(sizes) <= chunk and sum(sizes) == sm.enumeration_count(pop, n)
+    assert counts[split] % rows != 0  # the last run, and so its chunks, end inside the split stratum
+
+    def run_major(v):
+        lattice = v.reshape(-1, counts[split], size)  # (outer, split, inner)
+        return np.concatenate([lattice[:, r:r + rows].ravel() for r in range(0, counts[split], rows)])
+
     yb_ref, xb_ref = _broadcast_means(pop, n)
-    np.testing.assert_allclose(np.concatenate([yb for yb, _ in chunks]), yb_ref, rtol=1e-12)
-    np.testing.assert_allclose(np.concatenate([xb for _, xb in chunks]), xb_ref, rtol=1e-12)
+    np.testing.assert_allclose(np.concatenate([yb for yb, _ in chunks]), run_major(yb_ref), rtol=1e-12)
+    np.testing.assert_allclose(np.concatenate([xb for _, xb in chunks]), run_major(xb_ref), rtol=1e-12)
 
 
 def _exact_agrees_with_formula(pop, n, rel=1e-9):
@@ -408,6 +422,104 @@ def test_enumeration_memory_bounded_by_chunk(ds1):
 def test_enumeration_of_one_large_stratum():
     """40 choose 5: 658,008 samples of a single stratum."""
     _exact_agrees_with_formula(sm.Microdata((_stratum(1, 40, 5),)), (5,))
+
+
+def test_enumeration_streams_the_split_stratum_in_runs():
+    """60 choose 5: 5,461,512 samples of one stratum, formed run by run from
+    the C(59, 4) sums of its 4-subsets, peak below 16 MB where the whole
+    sums of y and x alone took 87 MB."""
+    pop = sm.Microdata((_stratum(1, 60, 6),))
+    tracemalloc.start()
+    try:
+        _exact_agrees_with_formula(pop, (5,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
+def _rational_moments(pop, n):
+    """(mean_y, mean_x, var_ybar, var_xbar, cov_xybar) as exact rationals:
+    plain sums over every sample of the product set, from the same float
+    units and weights, each sample's means held as integers over one
+    common denominator."""
+    terms = []
+    for s, nh, w in zip(pop.strata, n, pop.weights):
+        y, x = ([Fraction(v) for v in u.tolist()] for u in (s.y, s.x))
+        terms.append([
+            (Fraction(w) * sum(y[i] for i in c) / nh, Fraction(w) * sum(x[i] for i in c) / nh)
+            for c in itertools.combinations(range(s.N), nh)
+        ])
+    den = math.lcm(*(t.denominator for stratum in terms for pair in stratum for t in pair))
+    ints = [[tuple(t.numerator * (den // t.denominator) for t in pair) for pair in stratum]
+            for stratum in terms]
+    count = s_y = s_x = s_yy = s_yx = s_xx = 0
+    for sample in itertools.product(*ints):
+        yb = sum(p[0] for p in sample)
+        xb = sum(p[1] for p in sample)
+        count += 1
+        s_y, s_x = s_y + yb, s_x + xb
+        s_yy, s_yx, s_xx = s_yy + yb * yb, s_yx + yb * xb, s_xx + xb * xb
+    mean_y, mean_x = Fraction(s_y, count * den), Fraction(s_x, count * den)
+    square = count * den * den
+    return (mean_y, mean_x, Fraction(s_yy, square) - mean_y**2,
+            Fraction(s_xx, square) - mean_x**2, Fraction(s_yx, square) - mean_y * mean_x)
+
+
+@st.composite
+def enumerable_populations(draw):
+    """2-4 strata of 2-9 units, at most 3000 samples in all; each stratum's
+    y and x are offset by up to 1e6 over standard normal units."""
+    strata, n, count = [], [], 1
+    for index in range(1, draw(st.integers(2, 4)) + 1):
+        N = draw(st.integers(2, 9))
+        nh = draw(st.sampled_from([k for k in range(1, N + 1) if count * math.comb(N, k) <= 3000]))
+        count *= math.comb(N, nh)
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        offset_y, offset_x = (draw(st.floats(-1e6, 1e6)) for _ in range(2))
+        strata.append(sm.MicrodataStratum(
+            index, offset_y + rng.standard_normal(N), offset_x + rng.standard_normal(N)))
+        n.append(nh)
+    assume(any(nh < s.N for s, nh in zip(strata, n)))  # some variance to compare
+    return sm.Microdata(tuple(strata)), tuple(n)
+
+
+def _opposed_strata():
+    """Weighted stratum means of about +-4.2e5 that cancel to a mean of 0.08."""
+    rng = np.random.default_rng(1)
+    a, b = rng.standard_normal((2, 5)), rng.standard_normal((2, 7))
+    return sm.Microdata((
+        sm.MicrodataStratum(1, 1e6 + a[0], 3e5 + a[1]),
+        sm.MicrodataStratum(2, -1e6 * 5 / 7 + b[0], -3e5 * 5 / 7 + b[1]),
+    )), (2, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(enumerable_populations(), st.sampled_from([1, 7, 60, montecarlo._CHUNK]))
+@example(_opposed_strata(), 7)
+def test_enumeration_against_exact_rationals(case, chunk):
+    """The raw sums over centred strata, in chunks of any size, are within
+    1e-13 of exact rational arithmetic on the same floats: the variances
+    relative to themselves, the covariance to sd(ybar_st) * sd(xbar_st),
+    and each mean to sum W_h |mean_h| plus its sd, since the weighted
+    stratum means it adds may cancel."""
+    pop, n = case
+    with mock.patch.object(montecarlo, "_CHUNK", chunk):
+        got = sm.enumerate_exact_moments(pop, n)
+    mean_y, mean_x, var_y, var_x, cov = _rational_moments(pop, n)
+    sd_y, sd_x = math.sqrt(var_y), math.sqrt(var_x)
+    size_y, size_x = (
+        sum(w * abs(float(u.mean())) for u, w in zip(units, pop.weights))
+        for units in ([s.y for s in pop.strata], [s.x for s in pop.strata])
+    )
+    for value, want, scale in (
+        (got.mean_y, mean_y, size_y + sd_y),
+        (got.mean_x, mean_x, size_x + sd_x),
+        (got.var_ybar, var_y, var_y),
+        (got.var_xbar, var_x, var_x),
+        (got.cov_xybar, cov, sd_y * sd_x),
+    ):
+        assert abs(Fraction(value) - want) <= Fraction(1, 10**13) * Fraction(scale)
 
 
 @pytest.fixture(scope="module")

@@ -348,7 +348,7 @@ def test_arithmetic_failure_is_computation_error(call, mean_y, var_x, cov_xy, ca
     assert str(err.value).startswith(cause)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
 def test_indefinite_surface_is_flagged():
     # relative variances of order one make the T4 surface indefinite, so the
     # stationary point (k1, k2) = (2, -6) that optimum() returns is a saddle
