@@ -428,30 +428,21 @@ def _subset_sum_runs(v: np.ndarray, k: int, rows: int):
     """Sums of the k-subsets of ``v`` in ``itertools.combinations`` order,
     ``rows`` at a time; the last run may be shorter.
 
-    The j-subsets of v[i:] are v[i] plus each (j-1)-subset of v[i+1:],
-    followed by the j-subsets of v[i+1:].  So the sums over a suffix are
-    the tail of those over a longer one, and size j, over v[m-j:], is built
-    from size j - 1 in N - m + 1 slices.  The sizes below m are held whole,
-    the last of them C(N - 1, m - 1) sums; size m is formed from its slices
-    one run at a time.  As in ``_draw_block``, m = min(k, N - k): for m < k
-    the sums are the total minus those of the m left-out units, in reverse
-    order, since complements reverse the order.
+    The k-subsets of v are, for each i in turn, v[i] plus each (k-1)-subset
+    of v[i+1:].  Those are the tail of the (k-1)-subsets of v[1:], so one
+    array of C(N - 1, k - 1) sums, found by recursion, serves every i, and
+    the k-subsets are formed from it one run at a time.  As in
+    ``_draw_block``, m = min(k, N - k) units are summed: for m < k the sums
+    are the total minus those of the m left-out units, in reverse order,
+    since complements reverse the order.
     """
     N = v.size
     m = min(k, N - k)
     total = float(v.sum())
-    if m == 0:  # a census: one sample
-        yield np.array([total])
+    if m == 0:  # a census, or the empty subset
+        yield np.array([total if k else 0.0])
         return
-    level = v[m - 1:] if m > 1 else np.zeros(1)
-    for j in range(2, m):
-        out = np.empty(math.comb(N - m + j, j))
-        pos = 0
-        for i in range(m - j, N - j + 1):
-            tail = level[level.size - math.comb(N - i - 1, j - 1):]
-            np.add(v[i], tail, out=out[pos:pos + tail.size])
-            pos += tail.size
-        level = out
+    level = _subset_sums(v[1:], m - 1)
     pieces = [(v[i], level[level.size - math.comb(N - i - 1, m - 1):]) for i in range(N - m + 1)]
     add = np.add
     if m < k:  # the total minus each sum: pieces and their tails reversed
@@ -506,7 +497,7 @@ def _enumerated_means(pop: Microdata, n: tuple[int, ...]):
         return y, x
 
     inner_y, inner_x = lattice(strata[split + 1:])
-    outer = list(zip(*(v.tolist() for v in lattice(strata[:split]))))
+    outer_y, outer_x = lattice(strata[:split])
     s, nh, w = strata[split]
     rows = _CHUNK // size
     buf_y, buf_x = np.empty((2, min(rows, counts[split]) * size))
@@ -514,7 +505,7 @@ def _enumerated_means(pop: Microdata, n: tuple[int, ...]):
         base_y = ((w * (run_y / nh))[:, None] + inner_y).ravel()
         base_x = ((w * (run_x / nh))[:, None] + inner_x).ravel()
         chunk_y, chunk_x = buf_y[:base_y.size], buf_x[:base_x.size]
-        for oy, ox in outer:
+        for oy, ox in zip(outer_y.tolist(), outer_x.tolist()):
             np.add(base_y, oy, out=chunk_y)
             np.add(base_x, ox, out=chunk_x)
             yield chunk_y, chunk_x

@@ -383,7 +383,7 @@ def test_enumerated_means_stream_in_fixed_order(case, chunk, pop1, ds1, monkeypa
     chunks = [(yb.copy(), xb.copy()) for yb, xb in _enumerated_means(pop, n)]
     sizes = [yb.size for yb, _ in chunks]
     assert len(chunks) > 2 and max(sizes) <= chunk and sum(sizes) == sm.enumeration_count(pop, n)
-    assert counts[split] % rows != 0  # the last run, and so its chunks, end inside the split stratum
+    assert counts[split] % rows != 0  # a short last run: its chunks end inside the split stratum
 
     def run_major(v):
         lattice = v.reshape(-1, counts[split], size)  # (outer, split, inner)
@@ -426,8 +426,8 @@ def test_enumeration_of_one_large_stratum():
 
 def test_enumeration_streams_the_split_stratum_in_runs():
     """60 choose 5: 5,461,512 samples of one stratum, formed run by run from
-    the C(59, 4) sums of its 4-subsets, peak below 16 MB where the whole
-    sums of y and x alone took 87 MB."""
+    the C(59, 4) sums of its 4-subsets, peak below 16 MB; holding the whole
+    sums of y and x peaked at 91 MB."""
     pop = sm.Microdata((_stratum(1, 60, 6),))
     tracemalloc.start()
     try:
@@ -508,10 +508,8 @@ def test_enumeration_against_exact_rationals(case, chunk):
         got = sm.enumerate_exact_moments(pop, n)
     mean_y, mean_x, var_y, var_x, cov = _rational_moments(pop, n)
     sd_y, sd_x = math.sqrt(var_y), math.sqrt(var_x)
-    size_y, size_x = (
-        sum(w * abs(float(u.mean())) for u, w in zip(units, pop.weights))
-        for units in ([s.y for s in pop.strata], [s.x for s in pop.strata])
-    )
+    size_y = sum(w * abs(float(s.y.mean())) for s, w in zip(pop.strata, pop.weights))
+    size_x = sum(w * abs(float(s.x.mean())) for s, w in zip(pop.strata, pop.weights))
     for value, want, scale in (
         (got.mean_y, mean_y, size_y + sd_y),
         (got.mean_x, mean_x, size_x + sd_x),
