@@ -3,12 +3,12 @@
 Synthesizes finite populations whose stratum moments match a target design
 exactly, replicates stratified SRSWOR draws, and compares the empirical
 bias/MSE of every estimator against the first-order formulas.  Exhaustive
-enumeration of all samples is available where the combination count is
-feasible, giving exact design moments instead of simulated ones.  It
-streams the samples in chunks of at most ``_CHUNK``, in one fixed run-major
-order, and adds each chunk into running raw sums over strata centred on
-their own means, so its memory is bounded by the chunk and not by the
-sample count.
+enumeration gives exact design moments instead of simulated ones.  The
+strata are sampled independently, so the moments over every stratified
+sample are the sums of each stratum's own moments over its C(N_h, n_h)
+samples: the enumeration forms each stratum's samples alone, in runs of at
+most ``_CHUNK``, and never the product set, so its work and memory grow
+with the strata's sample counts, not with the design's.
 
 A population is a ``design.Microdata``: every public function here takes
 one, and checks its sample sizes with ``design.checked_sample_sizes``.  It
@@ -49,11 +49,13 @@ from .estimators import EstimatorSpec, estimate_many
 #: Replication block size; part of the random-stream definition.
 _BLOCK = 4096
 
-#: Most samples in one chunk of the exact enumeration.  With the strata's
-#: sample counts it fixes the runs, the chunks and so the order of the sums.
+#: Most samples of one stratum in one run of the exact enumeration; it fixes
+#: the runs and so the order of the sums.
 _CHUNK = 1 << 14
 
-#: Most samples ``enumerate_exact_moments`` forms; past it, use ``replicate``.
+#: Most samples, the product of the C(N_h, n_h), of a design that
+#: ``enumerate_exact_moments`` accepts; past it, use ``replicate``.  The
+#: enumeration's cost grows only as the sum of the C(N_h, n_h).
 ENUMERATION_LIMIT = 10_000_000
 
 #: (count, means, centred sums) of a block of samples; see ``_moments``.
@@ -467,50 +469,6 @@ def _subset_sums(v: np.ndarray, k: int) -> np.ndarray:
     return next(_subset_sum_runs(v, k, math.comb(v.size, k)))
 
 
-def _enumerated_means(pop: Microdata, n: tuple[int, ...]):
-    """Every sample's (ybar_st, xbar_st), in chunks of at most ``_CHUNK``.
-
-    Each stratum's samples come in ``itertools.combinations`` order.  The
-    last strata whose sample counts multiply to at most ``_CHUNK`` are the
-    inner strata; the stratum before them is split into runs of
-    ``_CHUNK // (their count)`` samples, and the strata before it are the
-    outer strata, with fewer than ``ENUMERATION_LIMIT / _CHUNK`` samples
-    in all.  The order is (run, outer, row, inner): for each run, the base
-    block of the run's samples by the inner strata's, both in C order, is
-    formed once, and each outer sample, in C order, adds its offset to
-    that block with one contiguous add per variate.  The chunks are views
-    of two buffers that the next chunk overwrites.
-    """
-    strata = list(zip(pop.strata, n, pop.weights))
-    counts = [math.comb(s.N, nh) for s, nh, _ in strata]
-    split, size = len(strata) - 1, 1
-    while split and size * counts[split] <= _CHUNK:
-        size *= counts[split]
-        split -= 1
-
-    def lattice(block):
-        """Means of each variate over the C-ordered cross product of ``block``."""
-        y = x = np.zeros(1)
-        for s, nh, w in block:
-            y = (y[:, None] + w * (_subset_sums(s.y, nh) / nh)).ravel()
-            x = (x[:, None] + w * (_subset_sums(s.x, nh) / nh)).ravel()
-        return y, x
-
-    inner_y, inner_x = lattice(strata[split + 1:])
-    outer_y, outer_x = lattice(strata[:split])
-    s, nh, w = strata[split]
-    rows = _CHUNK // size
-    buf_y, buf_x = np.empty((2, min(rows, counts[split]) * size))
-    for run_y, run_x in zip(_subset_sum_runs(s.y, nh, rows), _subset_sum_runs(s.x, nh, rows)):
-        base_y = ((w * (run_y / nh))[:, None] + inner_y).ravel()
-        base_x = ((w * (run_x / nh))[:, None] + inner_x).ravel()
-        chunk_y, chunk_x = buf_y[:base_y.size], buf_x[:base_x.size]
-        for oy, ox in zip(outer_y.tolist(), outer_x.tolist()):
-            np.add(base_y, oy, out=chunk_y)
-            np.add(base_x, ox, out=chunk_x)
-            yield chunk_y, chunk_x
-
-
 def enumeration_count(pop: Microdata, sample_sizes: Sequence[int]) -> int:
     """Number of distinct stratified samples for the given sizes."""
     n = checked_sample_sizes(pop, sample_sizes)
@@ -523,19 +481,23 @@ def enumeration_count(pop: Microdata, sample_sizes: Sequence[int]) -> int:
 def enumerate_exact_moments(pop: Microdata, sample_sizes: Sequence[int]) -> CombinedMoments:
     """Design moments of (ybar_st, xbar_st) over every possible sample.
 
-    Forms every sample's combined means, chunk by chunk in the fixed order
-    of ``_enumerated_means``, and adds each chunk into five running sums:
-    of y and x by pairwise ``np.add.reduce``, and of y*y, y*x and x*x by
-    ``np.einsum`` (never BLAS).  Each stratum's y and x are first centred
-    on their own means, which are added back to the means as
-    sum W_h * mean_h: the samples' means then lie near zero, so these raw
-    sums do not cancel against a large mean.  Returns the exact enumeration
+    A stratified sample is one independent SRSWOR sample per stratum, so
+    over the product set of all samples ybar_st = sum W_h * ybar_h is a sum
+    of independent coordinates: its mean, variances and covariance are
+    exactly the sums of each stratum's own, taken over that stratum's
+    C(N_h, n_h) samples alone.  Each stratum's y and x are centred on their
+    own means, and its sample sums come from ``_subset_sum_runs`` in runs of
+    at most ``_CHUNK``; each run's z = W_h * sum / n_h is added into five
+    running sums: of y and x by pairwise ``np.add.reduce``, and of y*y, y*x
+    and x*x by ``np.einsum`` (never BLAS).  The centred means lie near zero,
+    so these raw sums do not cancel against a large mean; sum W_h * mean_h
+    is added back to the means.  Returns the exact enumeration
     mean/variance/covariance (population divisor: every sample equally
-    likely).  Memory is bounded by the chunk and by the strata's own sample
-    means, of which the stratum split into runs holds only the sums of its
-    (m-1)-subsets, not by the sample count.  Raises ValueError when the
-    combination count exceeds ``ENUMERATION_LIMIT``; fall back to seeded
-    replication in that case.
+    likely).  The work is sum C(N_h, n_h), and memory is bounded by one run
+    and by the largest stratum's C(N_h - 1, m - 1) sums of its
+    (m-1)-subsets.  Raises ValueError when the design's sample count, the
+    product of the C(N_h, n_h), exceeds ``ENUMERATION_LIMIT``; fall back to
+    seeded replication in that case.
     """
     n = checked_sample_sizes(pop, sample_sizes)
     total = enumeration_count(pop, n)
@@ -543,23 +505,29 @@ def enumerate_exact_moments(pop: Microdata, sample_sizes: Sequence[int]) -> Comb
         raise ValueError(
             f"enumeration of {total} samples exceeds the limit of {ENUMERATION_LIMIT}"
         )
-    centres = [(float(s.y.mean()), float(s.x.mean())) for s in pop.strata]
-    centred = Microdata(tuple(
-        MicrodataStratum(s.index, s.y - my, s.x - mx)
-        for s, (my, mx) in zip(pop.strata, centres)
-    ))
-    s_y = s_x = s_yy = s_yx = s_xx = 0.0
-    for yb, xb in _enumerated_means(centred, n):
-        s_y += float(np.add.reduce(yb))
-        s_x += float(np.add.reduce(xb))
-        s_yy += float(np.einsum("i,i->", yb, yb))
-        s_yx += float(np.einsum("i,i->", yb, xb))
-        s_xx += float(np.einsum("i,i->", xb, xb))
-    mean_y, mean_x = s_y / total, s_x / total
+    centre_y = centre_x = mean_y = mean_x = var_ybar = var_xbar = cov_xybar = 0.0
+    for s, nh, w in zip(pop.strata, n, pop.weights):
+        cy, cx = float(s.y.mean()), float(s.x.mean())
+        s_y = s_x = s_yy = s_yx = s_xx = 0.0
+        runs = zip(_subset_sum_runs(s.y - cy, nh, _CHUNK), _subset_sum_runs(s.x - cx, nh, _CHUNK))
+        for zy, zx in runs:
+            zy, zx = w * (zy / nh), w * (zx / nh)
+            s_y += float(np.add.reduce(zy))
+            s_x += float(np.add.reduce(zx))
+            s_yy += float(np.einsum("i,i->", zy, zy))
+            s_yx += float(np.einsum("i,i->", zy, zx))
+            s_xx += float(np.einsum("i,i->", zx, zx))
+        count = math.comb(s.N, nh)
+        my, mx = s_y / count, s_x / count
+        centre_y, centre_x = centre_y + w * cy, centre_x + w * cx
+        mean_y, mean_x = mean_y + my, mean_x + mx
+        var_ybar += s_yy / count - my * my
+        var_xbar += s_xx / count - mx * mx
+        cov_xybar += s_yx / count - my * mx
     return CombinedMoments(
-        mean_y=sum(w * my for w, (my, _) in zip(pop.weights, centres)) + mean_y,
-        mean_x=sum(w * mx for w, (_, mx) in zip(pop.weights, centres)) + mean_x,
-        var_ybar=s_yy / total - mean_y * mean_y,
-        var_xbar=s_xx / total - mean_x * mean_x,
-        cov_xybar=s_yx / total - mean_y * mean_x,
+        mean_y=centre_y + mean_y,
+        mean_x=centre_x + mean_x,
+        var_ybar=var_ybar,
+        var_xbar=var_xbar,
+        cov_xybar=cov_xybar,
     )

@@ -160,7 +160,7 @@ def test_c07_exact_finite_population_identity(ds1):
     count = sm.enumeration_count(pop, ds1.sample_sizes)
     _report(
         7, rel < 1e-9,
-        f"enumerating all {count} stratified samples: var(ybar_st)="
+        f"exact over all {count} samples, from each stratum's own samples: var(ybar_st)="
         f"{exact.var_ybar:.12f} vs weighted-sum formula {formula:.12f} "
         f"(rel {rel:.2e}, tol 1e-9)",
     )

@@ -17,7 +17,6 @@ from stratmean import montecarlo
 from stratmean.montecarlo import (
     _BLOCK,
     _draw_block,
-    _enumerated_means,
     _merge_moments,
     _moments,
     _subset_sums,
@@ -360,12 +359,12 @@ def test_subset_sums_in_combinations_order(k):
     assert _subset_sums(v, k).tolist() == want
 
 
-@pytest.mark.parametrize("case, chunk", [("ds1", 100), ("one-stratum", 50), ("census", 20)])
-def test_enumerated_means_stream_in_fixed_order(case, chunk, pop1, ds1, monkeypatch):
-    """Small chunks, joined in order, equal one broadcast of the whole cross
-    product taken in (run, outer, row, inner) order: the split stratum in
-    runs of ``chunk // size`` samples, the outer strata before it and the
-    inner strata after it, whose counts multiply to ``size``."""
+@pytest.mark.parametrize("case", ["ds1", "one-stratum", "census"])
+def test_exact_moments_match_the_whole_product_set(case, pop1, ds1, monkeypatch):
+    """The sums of each stratum's own samples, in runs of any length, give
+    numpy's moments over every sample of the product set, formed whole by
+    one broadcast: ds1's 346,500 samples, one stratum, and a census beside
+    a stratum that takes the complement."""
     if case == "ds1":
         pop, n = pop1, ds1.sample_sizes
     elif case == "one-stratum":
@@ -373,25 +372,17 @@ def test_enumerated_means_stream_in_fixed_order(case, chunk, pop1, ds1, monkeypa
     else:  # the middle stratum is a census; the last one takes the complement
         pop = sm.Microdata((_stratum(1, 4, 2), _stratum(2, 5, 3), _stratum(3, 7, 4)))
         n = (2, 5, 5)
-    counts = [math.comb(s.N, nh) for s, nh in zip(pop.strata, n)]
-    split, size = len(n) - 1, 1
-    while split and size * counts[split] <= chunk:
-        size *= counts[split]
-        split -= 1
-    rows = chunk // size
-    monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
-    chunks = [(yb.copy(), xb.copy()) for yb, xb in _enumerated_means(pop, n)]
-    sizes = [yb.size for yb, _ in chunks]
-    assert len(chunks) > 2 and max(sizes) <= chunk and sum(sizes) == sm.enumeration_count(pop, n)
-    assert counts[split] % rows != 0  # a short last run: its chunks end inside the split stratum
-
-    def run_major(v):
-        lattice = v.reshape(-1, counts[split], size)  # (outer, split, inner)
-        return np.concatenate([lattice[:, r:r + rows].ravel() for r in range(0, counts[split], rows)])
-
-    yb_ref, xb_ref = _broadcast_means(pop, n)
-    np.testing.assert_allclose(np.concatenate([yb for yb, _ in chunks]), run_major(yb_ref), rtol=1e-12)
-    np.testing.assert_allclose(np.concatenate([xb for _, xb in chunks]), run_major(xb_ref), rtol=1e-12)
+    yb, xb = _broadcast_means(pop, n)
+    assert yb.size == sm.enumeration_count(pop, n)
+    want = {
+        "mean_y": yb.mean(), "mean_x": xb.mean(), "var_ybar": yb.var(), "var_xbar": xb.var(),
+        "cov_xybar": np.mean((yb - yb.mean()) * (xb - xb.mean())),
+    }
+    for chunk in (1, 7, 50):
+        monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+        got = sm.enumerate_exact_moments(pop, n)
+        for key, value in want.items():
+            assert getattr(got, key) == pytest.approx(value, rel=1e-12), (chunk, key)
 
 
 def _exact_agrees_with_formula(pop, n, rel=1e-9):
@@ -403,7 +394,9 @@ def _exact_agrees_with_formula(pop, n, rel=1e-9):
 
 def test_enumeration_memory_bounded_by_chunk(ds1):
     """9,702,000 samples (paper-1 plus an 8-unit stratum sampled 2) peak far
-    below the 78 MB that one array of their ybar_st alone would take."""
+    below the 78 MB that one array of their ybar_st alone would take, and
+    below the two 2**14-float chunks a pass over the product set would fill:
+    only the strata's own 578 samples are formed."""
     extra = sm.StratumSummary.from_correlation(
         4, N=8, n=2, mean_y=110.0, mean_x=330.0, var_y=150.0, var_x=2200.0, rho=0.8
     )
@@ -417,6 +410,7 @@ def test_enumeration_memory_bounded_by_chunk(ds1):
     finally:
         tracemalloc.stop()
     assert peak < 16e6
+    assert peak < 0.25e6
 
 
 def test_enumeration_of_one_large_stratum():
