@@ -579,7 +579,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse whose failures are one ``error:usage:`` line, exit 2."""
+    """argparse whose failures are one ``error:usage:`` line, exit 2.
+
+    A flag value such as ``-3e-2`` reads as a negative number, not as an
+    option: argparse before Python 3.12 knows only ``-3`` and ``-.03``.
+    The subparsers are of this class too.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
     def error(self, message: str):
         raise UsageError(f"{self.prog}: {message}")

@@ -8,23 +8,30 @@ auxiliary transforms appear throughout:
 * mixing-ratio family   f = ((xbar_st + a * (mean_x - xbar_st))
                              / (xbar_st + b * (mean_x - xbar_st))) ** p
 
-The baselines are the plain stratified mean, the combined ratio estimator
-``ybar_st * mean_x / xbar_st`` and the combined product estimator
-``ybar_st * xbar_st / mean_x``.  T1 and T2 apply one transform to
-``ybar_st``.  The dual-constant estimators rescale the study term by ``k1``
-and add a difference term ``k2 * (mean_x - xbar_st)``: T3/T4 transform the
-whole combination, T5/T6 transform only the scaled study term.
+T1 and T2 apply one transform to ``ybar_st``.  The dual-constant
+estimators rescale the study term by ``k1`` and add a difference term
+``k2 * (mean_x - xbar_st)``: T3/T4 transform the whole combination, T5/T6
+transform only the scaled study term.  The baselines are fixed points of
+the two families: the plain stratified mean is the exponent family at
+w = 0, the combined ratio estimator ``ybar_st * mean_x / xbar_st`` the
+mixing family at (p, a, b) = (1, 1, 0), and the combined product estimator
+``ybar_st * xbar_st / mean_x`` the mixing family at (1, 0, 1).
+``EstimatorKind`` declares each kind once, as its family, its placement
+(``mean``, ``whole`` or ``study``) and, for a baseline, its fixed shape;
+what a kind takes and how it combines are derived from that.
 
 An ``EstimatorSpec`` is one kind with its constants: the shape ``w`` or
 (p, a, b), then (k1, k2) on the dual kinds.  Each is None until
-``mse.resolve_spec`` fills it in, and ``transform_coefficients`` reads both
-families' Taylor coefficients off a spec.
+``mse.resolve_spec`` fills it in, and ``transform_coefficients`` reads the
+family's Taylor coefficients off a spec, at a baseline's fixed shape.
 
 ``estimate_many`` is the one evaluation path.  It takes a sequence of
 specs and evaluates them together on arrays of draws, forming
 ``mean_x - xbar_st`` once and each distinct transform once: T1, T3 and T5
 at one ``w`` share a power, as do T2, T4 and T6 at one (p, a, b).  The
-scalar ``estimate`` is a one-spec, one-draw call of it.
+baselines keep their closed forms there, since the family transforms round
+them differently in the last bit.  The scalar ``estimate`` is a one-spec,
+one-draw call of it.
 
 All functions are pure; the scalar ``estimate`` raises typed errors while
 the batch evaluator flags invalid draws instead.
@@ -33,6 +40,7 @@ the batch evaluator flags invalid draws instead.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import KW_ONLY, dataclass
 from typing import Sequence
 
@@ -42,49 +50,42 @@ from .errors import NonPositiveBase, ZeroDenominator
 
 
 class EstimatorKind(enum.Enum):
-    """The nine estimators, declared in the comparison table's order."""
+    """The nine estimators, declared once each, in the comparison table's order.
 
-    T1 = "t1"
-    T2 = "t2"
-    T3 = "t3"
-    T4 = "t4"
-    T5 = "t5"
-    T6 = "t6"
-    COMBINED_RATIO = "ratio"
-    COMBINED_PRODUCT = "product"
-    UNBIASED = "unbiased"
+    A member is (name, family, placement[, fixed shape]).  The family is the
+    auxiliary transform, ``exponent`` or ``mixing``; the placement is what it
+    multiplies: ``mean``, ybar_st alone; ``whole``, the whole k1/k2
+    combination; ``study``, only the k1-scaled study term.  The baselines are
+    fixed points of a family, and take no shape constants of their own.
+    """
+
+    T1 = ("t1", "exponent", "mean")
+    T2 = ("t2", "mixing", "mean")
+    T3 = ("t3", "exponent", "whole")
+    T4 = ("t4", "mixing", "whole")
+    T5 = ("t5", "exponent", "study")
+    T6 = ("t6", "mixing", "study")
+    COMBINED_RATIO = ("ratio", "mixing", "mean", (1.0, 1.0, 0.0))
+    COMBINED_PRODUCT = ("product", "mixing", "mean", (1.0, 0.0, 1.0))
+    UNBIASED = ("unbiased", "exponent", "mean", (0.0,))
+
+    def __new__(cls, name: str, family: str, placement: str, fixed_shape=None):
+        kind = object.__new__(cls)
+        kind._value_ = name
+        kind.family, kind.placement, kind.fixed_shape = family, placement, fixed_shape
+        return kind
 
     @property
     def is_dual(self) -> bool:
         """True for the four (k1, k2) estimators."""
-        return self in (
-            EstimatorKind.T3,
-            EstimatorKind.T4,
-            EstimatorKind.T5,
-            EstimatorKind.T6,
-        )
-
-    @property
-    def uses_exponent(self) -> bool:
-        return self in (EstimatorKind.T1, EstimatorKind.T3, EstimatorKind.T5)
-
-    @property
-    def uses_mixing(self) -> bool:
-        return self in (EstimatorKind.T2, EstimatorKind.T4, EstimatorKind.T6)
-
-    @property
-    def transforms_difference(self) -> bool:
-        """True when the transform multiplies the whole k1/k2 combination."""
-        return self in (EstimatorKind.T3, EstimatorKind.T4)
+        return self.placement != "mean"
 
     @property
     def shape_names(self) -> tuple[str, ...]:
         """The ``EstimatorSpec`` fields the kind's transform takes."""
-        if self.uses_exponent:
-            return ("w",)
-        if self.uses_mixing:
-            return ("p", "a", "b")
-        return ()
+        if self.fixed_shape is not None:
+            return ()
+        return ("w",) if self.family == "exponent" else ("p", "a", "b")
 
     @property
     def constant_names(self) -> tuple[str, ...]:
@@ -142,24 +143,24 @@ class EstimatorSpec:
 def transform_coefficients(spec: EstimatorSpec) -> tuple[float, float]:
     """First- and second-order Taylor coefficients of the auxiliary transform.
 
-    Writing e = xbar_st/mean_x - 1, the transform attached to ``spec.kind``
-    expands as 1 + phi1*e + phi2*e**2 + O(e**3).  The plain mean has
-    (0, 0); the ratio correction mean_x/xbar_st gives (-1, 1); the product
-    correction gives (1, 0).  The exponent family has phi1 = -w; the mixing
-    family has phi1 = delta = p*(b-a), which is -1 at (p, a, b) = (1, 1, 0),
-    the ratio correction, and +1 at (1, 0, 1), the product correction.
+    Writing e = xbar_st/mean_x - 1, the transform of ``spec.kind``'s family
+    expands as 1 + phi1*e + phi2*e**2 + O(e**3), at the spec's shape or, for
+    a baseline, at ``kind.fixed_shape``.  The exponent family has
+    phi1 = -w, so the plain mean (w = 0) has (0, 0); the mixing family has
+    phi1 = delta = p*(b-a), so the ratio correction mean_x/xbar_st at
+    (p, a, b) = (1, 1, 0) has (-1, 1), and the product correction at
+    (1, 0, 1) has (1, 0).  A coefficient too large for a float raises
+    OverflowError in either family.
     """
-    kind = spec.kind
-    if kind is EstimatorKind.UNBIASED:
-        return 0.0, 0.0
-    if kind is EstimatorKind.COMBINED_RATIO:
-        return -1.0, 1.0
-    if kind is EstimatorKind.COMBINED_PRODUCT:
-        return 1.0, 0.0
-    if kind.uses_exponent:
-        (w,) = spec.shape()
-        return -w, -w * (w - 1.0) / 2.0
-    p, a, b = spec.shape()
+    shape = spec.kind.fixed_shape or spec.shape()
+    if spec.kind.family == "exponent":
+        (w,) = shape
+        # 0.0 - w, not -w, so that the plain mean's phi1 is +0, not -0
+        phi1, phi2 = 0.0 - w, -w * (w - 1.0) / 2.0
+        if not math.isfinite(phi2):  # phi2 is inf or nan wherever phi1 is
+            raise OverflowError(f"exponent-family coefficients of w={w!r} are not finite")
+        return phi1, phi2
+    p, a, b = shape
     return p * (b - a), (p * p * (a - b) ** 2 + p * (b * b - a * a + 2.0 * (a - b))) / 2.0
 
 
@@ -193,7 +194,7 @@ def _guarded_power(num: np.ndarray, den: np.ndarray | float, e: float):
 
 
 def _combine(kind: EstimatorKind, ybar, diff, factor, k1: float, k2: float):
-    if kind.transforms_difference:
+    if kind.placement == "whole":
         return (k1 * ybar + k2 * diff) * factor
     return k1 * ybar * factor + k2 * diff
 
@@ -245,7 +246,7 @@ def estimate_many(
         """(factor, valid, error tallies) of the spec's transform."""
         key = spec.shape()
         if key not in transforms:
-            if spec.kind.uses_exponent:
+            if spec.kind.family == "exponent":
                 (w,) = key
                 powed, zero_den, bad_base = _guarded_power(xbar, mean_x, w)
                 factor = 2.0 - powed

@@ -58,10 +58,9 @@ _CHUNK = 1 << 14
 #: enumeration's cost grows only as the sum of the C(N_h, n_h).
 ENUMERATION_LIMIT = 10_000_000
 
-#: (count, means, centred sums) of a block of samples; see ``_moments``.
-#: ``replicate`` holds the states of all its estimators in one, with an
-#: array of one entry per state in place of each number.
-_Moments = tuple[int, list[float], list[float]]
+#: (counts, means, centred sums) of a block of samples, one array entry per
+#: state: ``replicate`` holds every estimator's estimates and squared errors.
+_Moments = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 #: Agreement policy applied by ``replicate`` (recorded in every report).
 AGREEMENT_POLICY = (
@@ -251,51 +250,25 @@ def _draw_block(
     return yb, xb
 
 
-def _moments(*variates: np.ndarray) -> _Moments:
-    """(count, means, centred sums) of one block of equally long variates.
-
-    The means and centred sums are ``_centred_moments``: [ss] for one
-    variate, [yy, yx, xx] for two.
-    """
-    k = len(variates)
-    if variates[0].size == 0:
-        return 0, [0.0] * k, [0.0] * (k * (k + 1) // 2)
-    return (variates[0].size, *_centred_moments(*variates))
-
-
 def _merge_moments(a: _Moments, b: _Moments) -> _Moments:
-    """Pool two ``_moments`` states of the same variates; an empty state
-    leaves the other as it is.
+    """Pool two states entry by entry; an empty entry leaves the other's as
+    it is.
 
-    The pairwise update of Chan, Golub & LeVeque (1983), co-moments
-    included: no sum of raw products is formed, so a large mean does not
-    swamp the spread.  The counts, means and sums may also be equally long
-    arrays, one entry per state: the same arithmetic then pools every
-    state elementwise, with the bits of one call per state.
+    The pairwise update of Chan, Golub & LeVeque (1983): no sum of raw
+    squares is formed, so a large mean does not swamp the spread.
     """
-    na, means_a, sums_a = a
-    nb, means_b, sums_b = b
-    elementwise = isinstance(na, np.ndarray)
-    if not elementwise:
-        if nb == 0:
-            return a
-        if na == 0:
-            return b
+    na, mean_a, ss_a = a
+    nb, mean_b, ss_b = b
     n = na + nb
-    div = np.maximum(n, 1) if elementwise else n  # two empty states: no 0/0
-    delta = [mb - ma for ma, mb in zip(means_a, means_b)]
-    products = [d * e for i, d in enumerate(delta) for e in delta[i:]]
-    means = [ma + d * nb / div for ma, d in zip(means_a, delta)]
-    sums = [sa + sb + p * na * nb / div for sa, sb, p in zip(sums_a, sums_b, products)]
-    if elementwise and not (na.all() and nb.all()):
+    div = np.maximum(n, 1)  # two empty entries: no 0/0
+    delta = mean_b - mean_a
+    mean = mean_a + delta * nb / div
+    ss = ss_a + ss_b + delta * delta * na * nb / div
+    if not (na.all() and nb.all()):
         empty_a, empty_b = na == 0, nb == 0
-
-        def keep(x_a, x_b, x):
-            return np.where(empty_b, x_a, np.where(empty_a, x_b, x))
-
-        means = [keep(*t) for t in zip(means_a, means_b, means)]
-        sums = [keep(*t) for t in zip(sums_a, sums_b, sums)]
-    return n, means, sums
+        mean = np.where(empty_b, mean_a, np.where(empty_a, mean_b, mean))
+        ss = np.where(empty_b, ss_a, np.where(empty_a, ss_b, ss))
+    return n, mean, ss
 
 
 def replicate(
@@ -337,9 +310,10 @@ def replicate(
     errors: list[dict[str, int]] = [{} for _ in resolved]
 
     def run_block(b: int, count: int) -> _Moments:
-        """Block b's ``_moments`` state over 2k entries: spec i's estimates
-        v at i, q = (v - mean_y)**2 at k + i; its error tallies go to
-        ``errors``.  A function, so its arrays are freed before the next draw."""
+        """Block b's state over 2k entries: spec i's estimates v at i,
+        q = (v - mean_y)**2 at k + i, by ``_centred_moments``, or zeros where
+        no draw is valid; its error tallies go to ``errors``.  A function, so
+        its arrays are freed before the next draw."""
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
         yb, xb = _draw_block(rng, pop, n, weights, count)
         batches = estimate_many(resolved, yb, xb, m.mean_x)
@@ -351,7 +325,7 @@ def replicate(
             v[r] = batches[i].values
         np.subtract(v, m.mean_y, out=q)
         q *= q
-        counts, means, sums = np.full(2 * k, count), np.empty(2 * k), np.empty(2 * k)
+        counts, means, sums = np.full(2 * k, count), np.zeros(2 * k), np.zeros(2 * k)
         row_means = np.add.reduce(block, axis=1) / count
         block -= row_means[:, None]
         block *= block
@@ -363,12 +337,14 @@ def replicate(
                 v = batch.values[batch.valid]
                 q = v - m.mean_y
                 q *= q
-                for j, (c, (mu,), (ss,)) in ((i, _moments(v)), (k + i, _moments(q))):
-                    counts[j], means[j], sums[j] = c, mu, ss
-        return counts, [means], [sums]
+                counts[[i, k + i]] = v.size
+                if v.size:
+                    (means[i],), (sums[i],) = _centred_moments(v)
+                    (means[k + i],), (sums[k + i],) = _centred_moments(q)
+        return counts, means, sums
 
     # fixed block order: deterministic sums
-    pooled, (pooled_means,), (pooled_sums,) = reduce(
+    pooled, pooled_means, pooled_sums = reduce(
         _merge_moments,
         (run_block(b, min(_BLOCK, reps - s)) for b, s in enumerate(range(0, reps, _BLOCK))),
     )

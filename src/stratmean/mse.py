@@ -140,7 +140,7 @@ def quadratic_form(spec: EstimatorSpec, m: CombinedMoments) -> QuadraticMseForm:
     """
     phi1, phi2 = transform_coefficients(spec)
     r = m.ratio
-    kappa = 1.0 if spec.kind.transforms_difference else 0.0
+    kappa = 1.0 if spec.kind.placement == "whole" else 0.0
     rvx = r * m.var_xbar
     return QuadraticMseForm(
         ybar_sq=m.mean_y * m.mean_y,
@@ -161,7 +161,7 @@ def first_order_bias(spec: EstimatorSpec, m: CombinedMoments) -> float:
     """First-order bias of any estimator spec with resolved constants."""
     k1, k2 = spec.dual_constants()
     phi1, phi2 = transform_coefficients(spec)
-    kappa = 1.0 if spec.kind.transforms_difference else 0.0
+    kappa = 1.0 if spec.kind.placement == "whole" else 0.0
     shape_bias = (
         phi1 * m.cov_xybar / m.mean_x
         + phi2 * m.mean_y * m.var_xbar / (m.mean_x * m.mean_x)
@@ -186,9 +186,10 @@ def _w_opt(m: CombinedMoments) -> float:
 
 def _optimizes_shape(spec: EstimatorSpec) -> bool:
     """True when the spec leaves its shape to the MSE-optimal w or delta."""
-    if spec.kind.uses_exponent:
-        return spec.w is None
-    return spec.kind is EstimatorKind.T2 and spec.p is None
+    kind = spec.kind
+    if kind.family == "exponent":
+        return kind.fixed_shape is None and spec.w is None
+    return kind is EstimatorKind.T2 and spec.p is None
 
 
 def _arithmetic_checked(fn):
@@ -209,19 +210,21 @@ def resolve_spec(spec: EstimatorSpec, m: CombinedMoments) -> EstimatorSpec:
     """Fill in any unresolved constants of ``spec`` from the moments.
 
     Missing shape constants default to the MSE-optimal family parameter for
-    T1/T2/T3/T5 and to the ratio-type (p, a, b) = (1, 1, 0) for T4/T6;
-    missing dual constants resolve to the MSE-optimal (k1, k2).
+    T1/T2/T3/T5 and to the combined ratio's fixed point for T4/T6; missing
+    dual constants resolve to the MSE-optimal (k1, k2).  A baseline has no
+    shape constants to fill in.
     """
     kind = spec.kind
     if _optimizes_shape(spec):
         w = _w_opt(m)
-        if kind.uses_exponent:
+        if kind.family == "exponent":
             spec = replace(spec, w=w)
         else:
             # 0.0 - w, not -w, so that w = 0 gives delta = +0, not -0
             spec = replace(spec, p=1.0, a=0.0, b=0.0 - w)
-    elif kind.uses_mixing and spec.p is None:
-        spec = replace(spec, p=1.0, a=1.0, b=0.0)
+    elif kind.family == "mixing" and kind.is_dual and spec.p is None:
+        p, a, b = EstimatorKind.COMBINED_RATIO.fixed_shape
+        spec = replace(spec, p=p, a=a, b=b)
     if kind.is_dual:
         if (spec.k1 is None) != (spec.k2 is None):
             raise ValueError(

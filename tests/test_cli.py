@@ -698,15 +698,52 @@ class TestExitCodes:
         assert code == 4
         assert err.startswith("error:non-positive-base:")
 
+    @pytest.mark.parametrize("value", ["-3e-2", "-1E+0", "-2.5e1", "-.5E-1"])
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [(("mse", "--estimators", "t1"), "--w"),
+         (("mse", "--estimators", "t2", "--p", "1", "--a", "1"), "--b"),
+         (("mse", "--estimators", "t6", "--k1", "1", "--p", "1", "--a", "1", "--b", "0"),
+          "--k2"),
+         (("estimate", "--estimators", "unbiased,t1", "--xbar-st", "330"), "--ybar-st")],
+    )
+    def test_negative_exponent_value_reads_as_a_number(self, capsys, argv, flag, value):
+        command, *rest = argv
+        spaced = run_cli(capsys, command, "--data", "paper-1", *rest, flag, value)
+        joined = run_cli(capsys, command, "--data", "paper-1", *rest, f"{flag}={value}")
+        assert spaced == joined
+        assert spaced[0] == 0 and spaced[2] == ""
+
+    @pytest.mark.parametrize("value", ["-inf", "-nan"])
+    def test_negative_non_finite_value_is_usage_error(self, capsys, value):
+        code, out, err = run_cli(capsys, "mse", "--data", "paper-1", "--w", value)
+        assert (code, out) == (2, "")
+        assert err == "error:usage: stratmean mse: argument --w: expected one argument\n"
+
+    @pytest.mark.parametrize(
+        "flags",
+        [("--estimators", "t1", "--w", "1e200"),
+         ("--estimators", "t2", "--p", "1", "--a", "1e200", "--b", "0")],
+    )
+    def test_overflowing_shape_is_computation_error(self, capsys, flags):
+        # either family's Taylor coefficients overflow, and both stop alike
+        code, out, err = run_cli(capsys, "mse", "--data", "paper-1", *flags)
+        assert (code, out) == (4, "")
+        assert err.startswith("error:computation: OverflowError: ")
+        assert err.count("\n") == 1
+
     def test_nan_first_order_mse_stops_simulate(self, capsys):
-        # w = 1e200 overflows T1's Taylor terms and the MSE comes out nan,
-        # which no verdict can compare
+        # w = 1e200 overflows T1's Taylor terms, which would make the MSE nan,
+        # so the run stops before any draw, as a computation error
         code, out, err = run_cli(
             capsys, "simulate", "--data", "paper-1", "--estimators", "t1",
             "--w", "1e200", "--reps", "2000",
         )
         assert (code, out) == (4, "")
-        assert err == "error:computation: t1: first-order MSE or bias is nan\n"
+        assert err == (
+            "error:computation: OverflowError: "
+            "exponent-family coefficients of w=1e+200 are not finite\n"
+        )
 
     @pytest.mark.parametrize(
         "flags, kinds",

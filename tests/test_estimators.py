@@ -292,11 +292,42 @@ def test_shape_params_derived():
 
 
 def test_transform_coefficients_baselines():
-    assert sm.transform_coefficients(sm.EstimatorSpec(K.UNBIASED)) == (0.0, 0.0)
-    assert sm.transform_coefficients(sm.EstimatorSpec(K.COMBINED_RATIO)) == (-1.0, 1.0)
-    assert sm.transform_coefficients(sm.EstimatorSpec(K.COMBINED_PRODUCT)) == (1.0, 0.0)
+    # each baseline is its family at its fixed shape, signed zeros included
+    for kind, want in (
+        (K.UNBIASED, "(0.0, 0.0)"),
+        (K.COMBINED_RATIO, "(-1.0, 1.0)"),
+        (K.COMBINED_PRODUCT, "(1.0, 0.0)"),
+    ):
+        assert repr(sm.transform_coefficients(sm.EstimatorSpec(kind))) == want
+        member = K.T1 if kind.family == "exponent" else K.T2
+        shape = dict(zip(member.shape_names, kind.fixed_shape))
+        assert repr(sm.transform_coefficients(sm.EstimatorSpec(member, **shape))) == want
     phi1, phi2 = sm.transform_coefficients(sm.EstimatorSpec(K.T1, w=2.0))
     assert (phi1, phi2) == (-2.0, -1.0)
+
+
+def test_transform_coefficients_overflow_in_either_family():
+    with pytest.raises(OverflowError):
+        sm.transform_coefficients(sm.EstimatorSpec(K.T1, w=1e200))
+    with pytest.raises(OverflowError):
+        sm.transform_coefficients(sm.EstimatorSpec(K.T2, p=1.0, a=1e200, b=0.0))
+
+
+def test_declaration_derives_every_kind_set():
+    def named(keep):
+        return {kind.value for kind in K if keep(kind)}
+
+    assert named(lambda k: k.is_dual) == {"t3", "t4", "t5", "t6"}
+    assert named(lambda k: k.placement == "whole") == {"t3", "t4"}
+    assert named(lambda k: k.placement == "study") == {"t5", "t6"}
+    assert named(lambda k: k.family == "exponent") == {"t1", "t3", "t5", "unbiased"}
+    assert named(lambda k: k.fixed_shape is not None) == {"ratio", "product", "unbiased"}
+    for kind in K:
+        assert K(kind.value) is kind
+        if kind.fixed_shape is not None:
+            assert kind.shape_names == ()
+        else:
+            assert kind.shape_names == (("w",) if kind.family == "exponent" else ("p", "a", "b"))
 
 
 def test_missing_constants_raise():

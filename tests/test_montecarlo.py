@@ -14,11 +14,11 @@ from hypothesis import strategies as st
 import stratmean as sm
 from stratmean import EstimatorKind as K
 from stratmean import montecarlo
+from stratmean.design import _centred_moments
 from stratmean.montecarlo import (
     _BLOCK,
     _draw_block,
     _merge_moments,
-    _moments,
     _subset_sums,
 )
 from stratmean.errors import (
@@ -237,53 +237,61 @@ def test_draw_keeps_row_major_stream_and_bits(N, n):
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
+def _state_of(u):
+    """(count, mean, centred sum) of the values ``u``; zeros when there are none."""
+    if u.size == 0:
+        return 0, 0.0, 0.0
+    (mean,), (ss,) = _centred_moments(u)
+    return u.size, mean, ss
+
+
+def _merge_one(a, b):
+    """Pool two scalar states by the pairwise update of Chan, Golub &
+    LeVeque (1983): the bit reference of the elementwise ``_merge_moments``."""
+    (na, mean_a, ss_a), (nb, mean_b, ss_b) = a, b
+    if nb == 0:
+        return a
+    if na == 0:
+        return b
+    n = na + nb
+    delta = mean_b - mean_a
+    return n, mean_a + delta * nb / n, ss_a + ss_b + delta * delta * na * nb / n
+
+
 def test_merged_block_moments_match_one_pass():
-    """Pooling uneven blocks, an empty one included, equals the whole sample,
-    for one variate and for two with their co-moment."""
+    """Pooling uneven blocks, an empty one included, equals the whole sample."""
     rng = np.random.default_rng(2)
     values = 1e8 + rng.standard_normal(10_000)
-    other = -3e5 + 0.5 * (values - 1e8) + rng.standard_normal(10_000)
-    cuts = [3, 3, 4000, 9999]
-    pooled = _moments(np.empty(0))
-    for block in np.split(values, cuts):
-        pooled = _merge_moments(pooled, _moments(block))
-    count, (mean,), (ss,) = pooled
+
+    def state(u):
+        return tuple(np.array([x]) for x in _state_of(u))
+
+    pooled = state(np.empty(0))
+    for block in np.split(values, [3, 3, 4000, 9999]):
+        pooled = _merge_moments(pooled, state(block))
+    (count,), (mean,), (ss,) = pooled
     assert count == values.size
     assert mean == pytest.approx(values.mean(), rel=1e-15)
     assert ss / (count - 1) == pytest.approx(values.var(ddof=1), rel=1e-9)
 
-    pooled = _moments(np.empty(0), np.empty(0))
-    for a, b in zip(np.split(values, cuts), np.split(other, cuts)):
-        pooled = _merge_moments(pooled, _moments(a, b))
-    count, (mean_a, mean_b), (ss_a, co, ss_b) = pooled
-    da, db = values - values.mean(), other - other.mean()
-    assert count == values.size
-    assert (mean_a, mean_b) == (pytest.approx(values.mean(), rel=1e-15),
-                                pytest.approx(other.mean(), rel=1e-15))
-    assert ss_a == pytest.approx(np.sum(da * da), rel=1e-9)
-    assert ss_b == pytest.approx(np.sum(db * db), rel=1e-9)
-    assert co == pytest.approx(np.sum(da * db), rel=1e-9)
-
 
 def test_elementwise_merge_has_the_bits_of_one_merge_per_state():
-    """States held as arrays pool entry by entry as ``_merge_moments`` pools
+    """States held as arrays pool entry by entry as ``_merge_one`` pools
     each on its own, an empty state on either side or both included."""
     rng = np.random.default_rng(6)
     a_count = np.array([0, 3, 0, 5, 7, 0])
     b_count = np.array([3, 0, 0, 2, 3, 1])
     a_mean, b_mean = rng.uniform(-1e3, 1e3, 6), np.array([0.7, 10.7, 0.0, 0.1, 1.1, -0.0])
     a_sum, b_sum = rng.uniform(0.0, 1e3, 6), rng.uniform(0.0, 1e3, 6)
-    a_mean[a_count == 0] = a_sum[a_count == 0] = 0.0  # ``_moments`` of no values
+    a_mean[a_count == 0] = a_sum[a_count == 0] = 0.0  # the state of no values
     b_sum[b_count == 0] = 0.0
-    count, (mean,), (ss,) = _merge_moments(
-        (a_count, [a_mean], [a_sum]), (b_count, [b_mean], [b_sum])
-    )
+    count, mean, ss = _merge_moments((a_count, a_mean, a_sum), (b_count, b_mean, b_sum))
     for i in range(6):
-        want = _merge_moments(
-            (int(a_count[i]), [float(a_mean[i])], [float(a_sum[i])]),
-            (int(b_count[i]), [float(b_mean[i])], [float(b_sum[i])]),
+        want = _merge_one(
+            (int(a_count[i]), float(a_mean[i]), float(a_sum[i])),
+            (int(b_count[i]), float(b_mean[i]), float(b_sum[i])),
         )
-        got = (int(count[i]), [float(mean[i])], [float(ss[i])])
+        got = (int(count[i]), float(mean[i]), float(ss[i]))
         assert repr(got) == repr(want)
 
 
@@ -620,9 +628,9 @@ class TestReplicate:
 
 def test_block_states_pool_like_sequential_merges(monkeypatch):
     """``replicate`` pools all its block states in one elementwise update per
-    block; the report has the bits of per-block ``_moments`` pooled spec by
-    spec with sequential ``_merge_moments``, also where a block has no
-    valid draw for a spec."""
+    block; the report has the bits of per-block states pooled spec by spec
+    with sequential ``_merge_one``, also where a block has no valid draw for
+    a spec."""
     block = 3
     monkeypatch.setattr(montecarlo, "_BLOCK", block)
     strata = (
@@ -646,7 +654,7 @@ def test_block_states_pool_like_sequential_merges(monkeypatch):
     children = np.random.SeedSequence(seed).spawn(len(counts))
     empty_blocks = 0
     for spec, row in zip(resolved, report.rows):
-        pooled_v = pooled_q = _moments(np.empty(0))
+        pooled_v = pooled_q = _state_of(np.empty(0))
         errors = {}
         for child, count in zip(children, counts):
             yb, xb = _draw_block(np.random.default_rng(child), pop, n, pop.weights, count)
@@ -657,10 +665,10 @@ def test_block_states_pool_like_sequential_merges(monkeypatch):
             empty_blocks += v.size == 0
             q = v - m.mean_y
             q *= q
-            pooled_v = _merge_moments(pooled_v, _moments(v))
-            pooled_q = _merge_moments(pooled_q, _moments(q))
-        valid, (mean_v,), (ss_v,) = pooled_v
-        _, (emp_mse,), (ss_q,) = pooled_q
+            pooled_v = _merge_one(pooled_v, _state_of(v))
+            pooled_q = _merge_one(pooled_q, _state_of(q))
+        valid, mean_v, ss_v = pooled_v
+        _, emp_mse, ss_q = pooled_q
         assert (row.valid, row.error_counts) == (valid, errors)
         assert row.empirical_mean == mean_v
         assert row.empirical_mse == emp_mse
