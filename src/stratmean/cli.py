@@ -581,9 +581,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 class _Parser(argparse.ArgumentParser):
     """argparse whose failures are one ``error:usage:`` line, exit 2.
 
-    A flag value such as ``-3e-2`` reads as a negative number, not as an
-    option: argparse before Python 3.12 knows only ``-3`` and ``-.03``.
-    The subparsers are of this class too.
+    Its subparsers share the class, so every flag reads ``-3e-2`` as a
+    negative number; argparse on Python 3.10 and 3.11 took it for an option.
     """
 
     def __init__(self, *args, **kwargs):

@@ -306,13 +306,6 @@ def test_transform_coefficients_baselines():
     assert (phi1, phi2) == (-2.0, -1.0)
 
 
-def test_transform_coefficients_overflow_in_either_family():
-    with pytest.raises(OverflowError):
-        sm.transform_coefficients(sm.EstimatorSpec(K.T1, w=1e200))
-    with pytest.raises(OverflowError):
-        sm.transform_coefficients(sm.EstimatorSpec(K.T2, p=1.0, a=1e200, b=0.0))
-
-
 def test_declaration_derives_every_kind_set():
     def named(keep):
         return {kind.value for kind in K if keep(kind)}
