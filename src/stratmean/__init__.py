@@ -34,7 +34,6 @@ from .mse import (
     analyze,
     default_table_specs,
     efficiency_table,
-    first_order_bias,
     optimal_dual,
     pre,
     quadratic_form,
@@ -74,7 +73,6 @@ __all__ = [
     "enumeration_count",
     "estimate",
     "estimate_many",
-    "first_order_bias",
     "get_dataset",
     "optimal_dual",
     "pre",

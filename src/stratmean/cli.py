@@ -526,15 +526,31 @@ def _paper_layout() -> tuple[list[dict], list[str]]:
     return rows, notes
 
 
+#: Largest relative gap between ``known_mean_x`` and sum W_h mean_x_h that
+#: ``simulate`` accepts; paper-1's published rounding is 7.1e-5.
+_KNOWN_MEAN_X_RTOL = 1e-3
+
+
 def _population(args: argparse.Namespace) -> tuple[Microdata, dict[int, int] | tuple[int, ...]]:
     """The population ``simulate`` draws from, and its sample sizes.
 
     A ``microdata-csv`` file is its own population.  Any other design gets
-    one synthesized, from ``--seed``, to match its stratum moments.
+    one synthesized, from ``--seed``, to match its stratum moments.  Its
+    auxiliary mean is then sum W_h mean_x_h, so a ``known_mean_x`` further
+    from that than ``_KNOWN_MEAN_X_RTOL`` is refused, not silently dropped.
     """
     if args.format == "microdata-csv" and args.data not in EMBEDDED and Path(args.data).exists():
         return _microdata_from_csv(args.data)
     design = ingest(args.data, args.format)
+    known = design.known_mean_x
+    if known is not None:
+        strata_mean_x = sum(w * s.mean_x for s, w in zip(design.strata, design.weights))
+        if abs(known - strata_mean_x) > _KNOWN_MEAN_X_RTOL * abs(strata_mean_x):
+            raise ValidationError(
+                f"known_mean_x {known!r} differs from the strata's sum of W_h * mean_x_h, "
+                f"{strata_mean_x!r}, by more than {_KNOWN_MEAN_X_RTOL:g} relative; simulate "
+                "synthesizes its population from the stratum means and cannot use it"
+            )
     return montecarlo.synthesize_population(design, seed=args.seed), design.sample_sizes
 
 

@@ -46,7 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NonPositiveBase, ZeroDenominator
+from .errors import ComputationError, NonPositiveBase, ZeroDenominator
 
 
 class EstimatorKind(enum.Enum):
@@ -161,7 +161,14 @@ def transform_coefficients(spec: EstimatorSpec) -> tuple[float, float]:
             raise OverflowError(f"exponent-family coefficients of w={w!r} are not finite")
         return phi1, phi2
     p, a, b = shape
-    return p * (b - a), (p * p * (a - b) ** 2 + p * (b * b - a * a + 2.0 * (a - b))) / 2.0
+    phi1 = p * (b - a)
+    try:
+        phi2 = (p * p * (a - b) ** 2 + p * (b * b - a * a + 2.0 * (a - b))) / 2.0
+    except OverflowError:  # (a - b) ** 2 raises where the products give inf
+        phi2 = math.inf
+    if not (math.isfinite(phi1) and math.isfinite(phi2)):
+        raise OverflowError(f"mixing-family coefficients of (p, a, b)={shape!r} are not finite")
+    return phi1, phi2
 
 
 def _guarded_power(num: np.ndarray, den: np.ndarray | float, e: float):
@@ -227,7 +234,8 @@ def estimate_many(
     with its validity: the exponent family keyed by ``w``, the mixing family
     by (p, a, b).  Specs that share a transform share its factor and its
     ``valid`` mask, so a spec's values have the bits it gets when evaluated
-    alone.  Invalid draws (zero denominators, non-real powers) are nan,
+    alone.  Invalid draws (zero denominators, non-real powers, and an
+    estimate that overflows to an infinity or nan, ``non-finite``) are nan,
     masked out and tallied by error code rather than raised; the scalar
     ``estimate`` below shares this code path and raises instead.  Only a
     zero ``mean_x`` is refused outright: a negative one is a valid design,
@@ -257,25 +265,32 @@ def estimate_many(
         return transforms[key]
 
     out = []
-    for spec in specs:
-        kind = spec.kind
-        k1, k2 = spec.dual_constants()
-        valid, counts = all_valid, {}
-        if kind is EstimatorKind.UNBIASED:
-            values = ybar + 0.0
-        elif kind is EstimatorKind.COMBINED_RATIO:
-            zero_den = xbar == 0.0
-            valid, counts = _flags(zero_den, np.zeros_like(zero_den))
-            with np.errstate(all="ignore"):
+    # an overflow, or 0 * inf, gives a non-finite estimate, which is tallied
+    with np.errstate(all="ignore"):
+        for spec in specs:
+            kind = spec.kind
+            k1, k2 = spec.dual_constants()
+            valid, counts = all_valid, {}
+            if kind is EstimatorKind.UNBIASED:
+                values = ybar + 0.0
+            elif kind is EstimatorKind.COMBINED_RATIO:
+                zero_den = xbar == 0.0
+                valid, counts = _flags(zero_den, np.zeros_like(zero_den))
                 values = ybar * mean_x / xbar
-        elif kind is EstimatorKind.COMBINED_PRODUCT:
-            values = ybar * xbar / mean_x
-        else:
-            factor, valid, counts = transform(spec)
-            values = _combine(kind, ybar, diff, factor, k1, k2)
-        if counts:
-            values = np.where(valid, values, np.nan)
-        out.append(BatchEstimates(values=values, valid=valid, error_counts=dict(counts)))
+            elif kind is EstimatorKind.COMBINED_PRODUCT:
+                values = ybar * xbar / mean_x
+            else:
+                factor, valid, counts = transform(spec)
+                values = _combine(kind, ybar, diff, factor, k1, k2)
+            finite = np.isfinite(values)
+            if not finite.all():  # invalid draws are non-finite already
+                non_finite = valid & ~finite
+                if non_finite.any():
+                    counts = {**counts, "non-finite": int(non_finite.sum())}
+                    valid = valid & finite
+            if counts:
+                values = np.where(valid, values, np.nan)
+            out.append(BatchEstimates(values=values, valid=valid, error_counts=dict(counts)))
     return out
 
 
@@ -289,5 +304,10 @@ def estimate(spec: EstimatorSpec, ybar_st: float, xbar_st: float, mean_x: float)
     if "non-positive-base" in batch.error_counts:
         raise NonPositiveBase(
             f"{spec.kind.value}: fractional power of a non-positive base"
+        )
+    if "non-finite" in batch.error_counts:
+        raise ComputationError(
+            f"{spec.kind.value}: estimate is not finite at "
+            f"(ybar_st, xbar_st)=({ybar_st!r}, {xbar_st!r})"
         )
     return float(batch.values[0])

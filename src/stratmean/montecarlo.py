@@ -280,12 +280,14 @@ def replicate(
 ) -> EmpiricalReport:
     """Measure empirical bias/MSE of every spec over seeded replications.
 
-    Constants marked for optimal resolution are resolved once against the
-    population's own moments; the same resolved constants feed both the
-    replication and the theoretical comparison values.  Estimator errors on
-    individual draws (zero denominators, non-real powers) are tallied per
-    spec, not raised.  Agreement verdicts follow AGREEMENT_POLICY and
-    require at least MIN_REPS_FOR_VERDICT replications.
+    ``mse.analyze`` resolves every spec's constants once against the
+    population's own moments and gives its theoretical (MSE, bias); the
+    replication draws with the same resolved specs.  No PRE is read, so a
+    non-positive first-order MSE is compared like any other.  Estimator
+    errors on individual draws (zero denominators, non-real powers,
+    non-finite estimates) are tallied per spec, not raised.  Agreement
+    verdicts follow AGREEMENT_POLICY and require at least
+    MIN_REPS_FOR_VERDICT replications.
 
     Block b of ``_BLOCK`` rows draws from ``SeedSequence(seed, spawn_key=(b,))``,
     the stream of ``SeedSequence(seed).spawn``'s child b, and is folded in as
@@ -300,11 +302,11 @@ def replicate(
     m = aggregate_moments(design_from_microdata(pop, n))
     weights = pop.weights
 
-    resolved = [mse_mod.resolve_spec(spec, m) for spec in specs]
-    theory = [mse_mod.mse_and_bias(spec, m) for spec in resolved]
-    for spec, (theo_mse, theo_bias) in zip(resolved, theory):
-        if math.isnan(theo_mse) or math.isnan(theo_bias):
-            raise ComputationError(f"{spec.label}: first-order MSE or bias is nan")
+    theory = [mse_mod.analyze(spec, m) for spec in specs]
+    for result in theory:
+        if math.isnan(result.mse) or math.isnan(result.bias):
+            raise ComputationError(f"{result.label}: first-order MSE or bias is nan")
+    resolved = [result.spec for result in theory]
 
     k = len(resolved)
     errors: list[dict[str, int]] = [{} for _ in resolved]
@@ -349,13 +351,13 @@ def replicate(
         (run_block(b, min(_BLOCK, reps - s)) for b, s in enumerate(range(0, reps, _BLOCK))),
     )
     rows = []
-    for i, (spec, (theo_mse, theo_bias)) in enumerate(zip(resolved, theory)):
+    for i, result in enumerate(theory):
         valid = int(pooled[i])
         mean_v, ss_v = float(pooled_means[i]), float(pooled_sums[i])
         emp_mse, ss_q = float(pooled_means[k + i]), float(pooled_sums[k + i])
         if valid < 2:
             raise ValueError(
-                f"{spec.label}: only {valid} valid replications; cannot summarize"
+                f"{result.label}: only {valid} valid replications; cannot summarize"
             )
         emp_bias = mean_v - m.mean_y
         se_bias = math.sqrt(ss_v / (valid - 1) / valid)
@@ -363,8 +365,8 @@ def replicate(
         if reps < MIN_REPS_FOR_VERDICT:
             verdict = "insufficient-replications"
         else:
-            mse_ok = abs(emp_mse - theo_mse) <= max(3.0 * se_mse, 0.05 * abs(theo_mse))
-            bias_ok = abs(emp_bias - theo_bias) <= max(
+            mse_ok = abs(emp_mse - result.mse) <= max(3.0 * se_mse, 0.05 * abs(result.mse))
+            bias_ok = abs(emp_bias - result.bias) <= max(
                 3.0 * se_bias, 0.10 * math.sqrt(m.var_ybar / reps)
             )
             if mse_ok and bias_ok:
@@ -377,8 +379,8 @@ def replicate(
                 verdict = "mse+bias-divergent"
         rows.append(
             EstimatorOutcome(
-                label=spec.label,
-                constants=spec.constants(),
+                label=result.label,
+                constants=result.constants,
                 reps=reps,
                 valid=valid,
                 error_counts=errors[i],
@@ -387,8 +389,8 @@ def replicate(
                 empirical_mse=emp_mse,
                 se_bias=se_bias,
                 se_mse=se_mse,
-                theoretical_bias=theo_bias,
-                theoretical_mse=theo_mse,
+                theoretical_bias=result.bias,
+                theoretical_mse=result.mse,
                 verdict=verdict,
             )
         )

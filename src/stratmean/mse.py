@@ -11,6 +11,8 @@ in the dual constants (k1, k2):
       MSE(k1, k2) = mean_y**2 (k1-1)**2 + s k1**2 + 2 c k1 (k1-1)
                     + b k2**2 + 2 d k2 - 2 e k1 k2
 
+and its first-order bias is linear in them:
+
       bias(k1, k2) = (k1-1) mean_y + k1 B - kappa k2 phi1 var_xbar / mean_x
 
 with kappa = 1 when the transform multiplies the whole combination
@@ -31,6 +33,9 @@ the 2x2 normal equations
       (mean_y**2 + a) k1 - e k2 = mean_y**2 + c
       -e k1 + b k2 = -d
 
+``quadratic_form`` works out (phi1, phi2, kappa) of a spec once and
+returns a ``QuadraticMseForm`` that carries both lines, ``value(k1, k2)``
+and ``bias(k1, k2)``; ``analyze`` reads every first-order result off it.
 Every function here takes an ``EstimatorSpec``; ``quadratic_form`` and
 ``optimal_dual`` read only its kind and shape constants.  Percent relative
 efficiency is 100 * var_ybar / MSE, so the plain stratified mean scores
@@ -40,7 +45,7 @@ exactly 100.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .design import CombinedMoments, DesignSummary, aggregate_moments
@@ -53,18 +58,27 @@ SINGULAR_REL_TOL = 1e-12
 
 @dataclass(frozen=True)
 class QuadraticMseForm:
-    """Coefficients of the MSE(k1, k2) surface (module docstring).
+    """The MSE(k1, k2) surface and bias(k1, k2) line of a spec (module
+    docstring).
 
     ``s`` is the MSE at (k1, k2) = (1, 0), so ``value(1, 0)`` returns it
-    exactly; the docstring's ``a`` is ``s + 2 c``.
+    exactly; the docstring's ``a`` is ``s + 2 c`` and its B is
+    ``shape_bias``.  ``b`` is var_xbar, and ``kappa_phi1`` is kappa * phi1.
     """
 
-    ybar_sq: float
+    mean_y: float
+    mean_x: float
     s: float
     b: float
     c: float
     d: float
     e: float
+    shape_bias: float
+    kappa_phi1: float
+
+    @property
+    def ybar_sq(self) -> float:
+        return self.mean_y * self.mean_y
 
     @property
     def a(self) -> float:
@@ -78,6 +92,15 @@ class QuadraticMseForm:
             + self.b * k2 * k2
             + 2.0 * self.d * k2
             - 2.0 * self.e * k1 * k2
+        )
+
+    def bias(self, k1: float, k2: float) -> float:
+        # k2 * (kappa * phi1) has the bits of kappa * k2 * phi1, as kappa is
+        # 0 or 1; var_xbar / mean_x is not taken first, which would move them
+        return (
+            (k1 - 1.0) * self.mean_y
+            + k1 * self.shape_bias
+            - k2 * self.kappa_phi1 * self.b / self.mean_x
         )
 
     @property
@@ -109,19 +132,34 @@ class QuadraticMseForm:
 
 @dataclass(frozen=True)
 class MseResult:
-    """One analyzed estimator: first-order MSE, bias, and PRE."""
+    """One analyzed estimator: its resolved spec, first-order MSE and bias.
 
-    kind: EstimatorKind
+    ``pre`` is formed when it is read, so a result whose MSE is not
+    positive exists, and raises ZeroMse only there.
+    """
+
+    spec: EstimatorSpec
+    moments: CombinedMoments
     mse: float
     bias: float
-    pre: float
-    constants: dict[str, float] = field(default_factory=dict)
     shape_unidentified: bool = False
     singular_system: bool = False
 
     @property
+    def kind(self) -> EstimatorKind:
+        return self.spec.kind
+
+    @property
     def label(self) -> str:
-        return self.kind.value
+        return self.spec.label
+
+    @property
+    def constants(self) -> dict[str, float]:
+        return self.spec.constants()
+
+    @property
+    def pre(self) -> float:
+        return pre(self.mse, self.moments)
 
 
 def pre(mse_value: float, m: CombinedMoments) -> float:
@@ -132,45 +170,36 @@ def pre(mse_value: float, m: CombinedMoments) -> float:
 
 
 def quadratic_form(spec: EstimatorSpec, m: CombinedMoments) -> QuadraticMseForm:
-    """The MSE(k1, k2) surface of any estimator spec (module docstring).
+    """The MSE(k1, k2) surface and bias(k1, k2) line of any estimator spec
+    (module docstring).
 
     It reads the spec's kind and shape constants, never (k1, k2).  Only
     the dual kinds move off (k1, k2) = (1, 0); the others read
-    ``value(1, 0)``.
+    ``value(1, 0)`` and ``bias(1, 0)``.
     """
     phi1, phi2 = transform_coefficients(spec)
     r = m.ratio
     kappa = 1.0 if spec.kind.placement == "whole" else 0.0
     rvx = r * m.var_xbar
     return QuadraticMseForm(
-        ybar_sq=m.mean_y * m.mean_y,
+        mean_y=m.mean_y,
+        mean_x=m.mean_x,
         s=m.var_ybar + phi1 * phi1 * r * r * m.var_xbar + 2.0 * phi1 * r * m.cov_xybar,
         b=m.var_xbar,
         c=phi1 * r * m.cov_xybar + phi2 * r * rvx,
         d=kappa * phi1 * rvx,
         e=m.cov_xybar + (1.0 + kappa) * phi1 * rvx,
+        shape_bias=(
+            phi1 * m.cov_xybar / m.mean_x
+            + phi2 * m.mean_y * m.var_xbar / (m.mean_x * m.mean_x)
+        ),
+        kappa_phi1=kappa * phi1,
     )
 
 
 def optimal_dual(spec: EstimatorSpec, m: CombinedMoments) -> tuple[float, float]:
     """MSE-minimizing (k1, k2) of a dual estimator spec at its shape."""
     return quadratic_form(spec, m).optimum()
-
-
-def first_order_bias(spec: EstimatorSpec, m: CombinedMoments) -> float:
-    """First-order bias of any estimator spec with resolved constants."""
-    k1, k2 = spec.dual_constants()
-    phi1, phi2 = transform_coefficients(spec)
-    kappa = 1.0 if spec.kind.placement == "whole" else 0.0
-    shape_bias = (
-        phi1 * m.cov_xybar / m.mean_x
-        + phi2 * m.mean_y * m.var_xbar / (m.mean_x * m.mean_x)
-    )
-    return (
-        (k1 - 1.0) * m.mean_y
-        + k1 * shape_bias
-        - kappa * k2 * phi1 * m.var_xbar / m.mean_x
-    )
 
 
 def _w_opt(m: CombinedMoments) -> float:
@@ -237,29 +266,19 @@ def resolve_spec(spec: EstimatorSpec, m: CombinedMoments) -> EstimatorSpec:
 
 
 @_arithmetic_checked
-def mse_and_bias(spec: EstimatorSpec, m: CombinedMoments) -> tuple[float, float]:
-    """First-order (MSE, bias) of a spec with resolved constants.
-
-    No PRE is formed, so a non-positive MSE is returned, not raised.
-    """
-    mse_value = quadratic_form(spec, m).value(*spec.dual_constants())
-    return mse_value, first_order_bias(spec, m)
-
-
-@_arithmetic_checked
 def analyze(spec: EstimatorSpec, m: CombinedMoments) -> MseResult:
-    """Resolve constants and compute the spec's first-order MSE result."""
+    """Resolve constants and read the spec's first-order MSE and bias off
+    its one form; no PRE is formed here."""
     resolved = resolve_spec(spec, m)
-    mse_value, bias = mse_and_bias(resolved, m)
-    dual_optimum = spec.kind.is_dual and spec.k1 is None
+    form = quadratic_form(resolved, m)
+    k1, k2 = resolved.dual_constants()
     return MseResult(
-        kind=spec.kind,
-        mse=mse_value,
-        bias=bias,
-        pre=pre(mse_value, m),
-        constants=resolved.constants(),
+        spec=resolved,
+        moments=m,
+        mse=form.value(k1, k2),
+        bias=form.bias(k1, k2),
         shape_unidentified=m.var_xbar == 0.0 and _optimizes_shape(spec),
-        singular_system=dual_optimum and quadratic_form(resolved, m).singular,
+        singular_system=spec.kind.is_dual and spec.k1 is None and form.singular,
     )
 
 

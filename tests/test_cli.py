@@ -600,6 +600,48 @@ class TestSimulate:
         assert rows["t6"]["theoretical_mse"] < 0.0
         assert rows["t6"]["verdict"] == "mse+bias-divergent"
 
+    def test_non_finite_estimates_are_invalid_draws(self, capsys):
+        # at w = 1e150 the transform overflows wherever xbar_st > mean_x;
+        # those draws are tallied, so the empirical columns stay finite
+        code, out, err = run_cli(
+            capsys, "simulate", "--data", "paper-1", "--estimators", "t1", "--w", "1e150",
+            "--reps", "2000", "--output-format", "json", "--full-precision",
+        )
+        assert (code, err) == (0, "")
+        (row,) = json.loads(out)["rows"]
+        assert 0 < row["valid"] < 2000
+        assert row["errors"] == f"non-finite:{2000 - row['valid']}"
+        for column in ("empirical_mean", "empirical_bias", "empirical_mse", "se_mse"):
+            assert np.isfinite(row[column]), column
+
+    def test_known_mean_x_it_cannot_use_is_refused(self, capsys, tmp_path):
+        # the population is synthesized from the stratum means, whose weighted
+        # sum is 326.0232 on paper-1's strata; mse keeps the override
+        names = ("N", "n", "mean_y", "mean_x", "var_y", "var_x", "rho")
+        rows = [(6, 3, 135.0, 366.666, 80.0, 2706.666, 0.9455626),
+                (12, 4, 99.166, 310.883, 226.515, 1881.06, 0.948196),
+                (7, 3, 80.714, 317.143, 120.238, 2890.476, 0.7523324)]
+        doc = {"known_mean_x": 400, "strata": [dict(zip(names, row)) for row in rows]}
+        path = tmp_path / "known.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "simulate", "--data", str(path), "--reps", "20000")
+        assert (code, out) == (3, "")
+        assert err.startswith("error:validation: known_mean_x 400.0 differs from the strata's ")
+        assert "326.023" in err and err.count("\n") == 1
+        code, out, err = run_cli(
+            capsys, "mse", "--data", str(path), "--estimators", "ratio,t1", "--output-format", "csv"
+        )
+        assert (code, err) == (0, "")
+        ratio, t1 = csv.DictReader(io.StringIO(out))
+        assert (ratio["mse"], t1["w"]) == ("2.80626", "0.954512")
+        # paper-1's own 326 is 7.1e-5 from its strata, inside the tolerance
+        doc["known_mean_x"] = 326.0
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(
+            capsys, "simulate", "--data", str(path), "--reps", "20", "--estimators", "unbiased"
+        )
+        assert (code, err) == (0, "")
+
 
 class TestExitCodes:
     def test_unknown_dataset(self, capsys):
@@ -726,11 +768,17 @@ class TestExitCodes:
          ("--estimators", "t2", "--p", "1", "--a", "1e200", "--b", "0")],
     )
     def test_overflowing_shape_is_computation_error(self, capsys, flags):
-        # either family's Taylor coefficients overflow, and both stop alike
+        # either family's Taylor coefficients overflow, and both stop alike,
+        # naming the family and the constants
         code, out, err = run_cli(capsys, "mse", "--data", "paper-1", *flags)
         assert (code, out) == (4, "")
-        assert err.startswith("error:computation: OverflowError: ")
-        assert err.count("\n") == 1
+        family, named = {
+            "--w": ("exponent", "w=1e+200"),
+            "--p": ("mixing", "(p, a, b)=(1.0, 1e+200, 0.0)"),
+        }[flags[2]]
+        assert err == (
+            f"error:computation: OverflowError: {family}-family coefficients of {named} are not finite\n"
+        )
 
     def test_nan_first_order_mse_stops_simulate(self, capsys):
         # w = 1e200 overflows T1's Taylor terms, which would make the MSE nan,
@@ -855,6 +903,8 @@ class TestExitCodes:
     def test_population_too_large_is_computation_error(self, capsys, tmp_path, monkeypatch):
         doc = json.loads(json.dumps(SUMMARY_DOC))
         doc["strata"][0]["N"] = 10**12
+        # this N moves sum W_h mean_x_h far from 326, which simulate refuses
+        del doc["known_mean_x"]
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(doc))
 

@@ -354,8 +354,9 @@ def test_direct_oracle_crosscheck():
 
 def _analyzed(spec, m):
     """(mse, bias) of ``analyze``, or None where the MSE is not positive."""
+    res = sm.analyze(spec, m)
     try:
-        res = sm.analyze(spec, m)
+        res.pre
     except ZeroMse:
         return None
     return res.mse, res.bias

@@ -5,7 +5,7 @@ import pytest
 
 import stratmean as sm
 from stratmean import EstimatorKind as K
-from stratmean.errors import NonPositiveBase, ZeroDenominator
+from stratmean.errors import ComputationError, NonPositiveBase, ZeroDenominator
 
 MEAN_X = 326.0
 
@@ -258,6 +258,28 @@ def test_estimate_many_counts_errors():
     assert batch.error_counts == {"zero-denominator": 1}
     assert batch.valid.tolist() == [False, True]
     assert np.isnan(batch.values[0])
+
+
+def test_non_finite_estimate_is_an_invalid_draw():
+    # an estimate that overflows is tallied like a zero denominator, and a
+    # draw that is already invalid is not counted twice
+    ratio = sm.EstimatorSpec(K.COMBINED_RATIO)
+    ybar, xbar = np.array([1.0, 2.0, 3.0]), np.array([0.0, 1e-320, 300.0])
+    (batch,) = sm.estimate_many([ratio], ybar, xbar, MEAN_X)
+    assert batch.error_counts == {"zero-denominator": 1, "non-finite": 1}
+    assert batch.valid.tolist() == [False, False, True]
+    assert np.isnan(batch.values[:2]).all() and batch.values[2] == 3.0 * MEAN_X / 300.0
+    # w = 1e150 overflows the transform above mean_x and leaves 2 below it
+    t1 = sm.EstimatorSpec(K.T1, w=1e150)
+    (batch,) = sm.estimate_many([t1], np.array([100.0, 100.0]), np.array([330.0, 320.0]), MEAN_X)
+    assert batch.error_counts == {"non-finite": 1}
+    assert batch.valid.tolist() == [False, True] and batch.values[1] == 200.0
+    with pytest.raises(ComputationError, match="t1: estimate is not finite"):
+        sm.estimate(t1, 100.0, 330.0, MEAN_X)
+    # a finite transform can still overflow in the k1/k2 combination
+    t5 = sm.EstimatorSpec(K.T5, w=1.0, k1=1e307, k2=0.0)
+    with pytest.raises(ComputationError, match="t5: estimate is not finite"):
+        sm.estimate(t5, 100.0, 300.0, MEAN_X)
 
 
 def test_integer_exponent_allows_negative_base():

@@ -625,6 +625,25 @@ class TestReplicate:
         assert row.error_counts.get("non-positive-base", 0) > 0
         assert row.valid + sum(row.error_counts.values()) == row.reps
 
+    def test_theory_comes_from_analyze(self, ds1, pop1, monkeypatch):
+        # one first-order path: the resolved specs and the theoretical
+        # columns are analyze's, so a tracer of mse.analyze sees them
+        results = []
+        analyze = sm.mse.analyze
+
+        def recording(spec, m):
+            results.append(analyze(spec, m))
+            return results[-1]
+
+        monkeypatch.setattr(sm.mse, "analyze", recording)
+        specs = sm.default_table_specs()
+        report = sm.replicate(pop1, ds1.sample_sizes, specs, reps=20, seed=1)
+        assert [result.label for result in results] == [spec.label for spec in specs]
+        for row, result in zip(report.rows, results):
+            assert row.theoretical_mse == result.mse
+            assert row.theoretical_bias == result.bias
+            assert row.constants == result.constants
+
 
 def test_block_states_pool_like_sequential_merges(monkeypatch):
     """``replicate`` pools all its block states in one elementwise update per

@@ -22,6 +22,11 @@ def analyze(kind, m, **constants):
     return sm.analyze(sm.EstimatorSpec(kind, **constants), m)
 
 
+def bias(spec, m):
+    """The first-order bias of a spec with resolved constants, off its form."""
+    return sm.quadratic_form(spec, m).bias(*spec.dual_constants())
+
+
 def t1(w):
     return dict(w=w)
 
@@ -191,26 +196,26 @@ class TestDualMse:
 
 class TestBias:
     def test_t1_degenerate(self, m1):
-        assert sm.first_order_bias(sm.EstimatorSpec(K.T1, w=0.0), m1) == 0.0
+        assert bias(sm.EstimatorSpec(K.T1, w=0.0), m1) == 0.0
 
     def test_t1_linear_case(self, m1):
         # at w = 1 the transform is linear, so the bias is -cov/mean_x exactly
-        got = sm.first_order_bias(sm.EstimatorSpec(K.T1, w=1.0), m1)
+        got = bias(sm.EstimatorSpec(K.T1, w=1.0), m1)
         assert got == pytest.approx(-m1.cov_xybar / m1.mean_x, rel=1e-14)
 
     def test_product_bias(self, m1):
-        got = sm.first_order_bias(sm.EstimatorSpec(K.COMBINED_PRODUCT), m1)
+        got = bias(sm.EstimatorSpec(K.COMBINED_PRODUCT), m1)
         assert got == pytest.approx(m1.cov_xybar / m1.mean_x, rel=1e-14)
 
     def test_ratio_bias(self, m1):
-        got = sm.first_order_bias(sm.EstimatorSpec(K.COMBINED_RATIO), m1)
+        got = bias(sm.EstimatorSpec(K.COMBINED_RATIO), m1)
         want = (m1.ratio * m1.var_xbar - m1.cov_xybar) / m1.mean_x
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_dual_reduces_to_shape_bias(self, m1):
         shape = dict(w=1.4)
-        dual = sm.first_order_bias(sm.EstimatorSpec(K.T5, **shape, k1=1.0, k2=0.0), m1)
-        plain = sm.first_order_bias(sm.EstimatorSpec(K.T1, **shape), m1)
+        dual = bias(sm.EstimatorSpec(K.T5, **shape, k1=1.0, k2=0.0), m1)
+        plain = bias(sm.EstimatorSpec(K.T1, **shape), m1)
         assert dual == plain
 
 
@@ -266,7 +271,7 @@ def test_analyze_explicit_dual_constants(m1):
     res = sm.analyze(spec, m1)
     form = sm.quadratic_form(sm.EstimatorSpec(K.T5, w=1.0), m1)
     assert res.mse == form.value(0.9, 0.5)
-    assert res.bias == sm.first_order_bias(spec, m1)
+    assert res.bias == bias(spec, m1)
     assert res.constants == {"w": 1.0, "k1": 0.9, "k2": 0.5}
     assert not res.singular_system
 
@@ -302,21 +307,24 @@ def test_optimal_dual_solved_once_per_unresolved_spec(ds1, m1, monkeypatch):
     assert len(calls) == 1
 
 
-def test_mse_and_bias_is_analyze_without_pre(m1):
-    """The (MSE, bias) pair that replicate compares against is analyze's;
-    a negative MSE, which has no PRE, is returned rather than raised."""
+def test_analyze_forms_pre_only_when_read(m1):
+    """analyze's result holds the resolved spec and reads MSE and bias off
+    its one form; a negative MSE, which has no PRE, raises only at ``pre``."""
     for spec in sm.default_table_specs():
         result = sm.analyze(spec, m1)
         resolved = sm.resolve_spec(spec, m1)
-        assert sm.mse.mse_and_bias(resolved, m1) == (result.mse, result.bias)
+        assert result.spec == resolved and result.kind is spec.kind
+        form = sm.quadratic_form(resolved, m1)
+        k1, k2 = resolved.dual_constants()
+        assert (result.mse, result.bias) == (form.value(k1, k2), form.bias(k1, k2))
+        assert result.pre == sm.pre(result.mse, m1)
     s = sm.StratumSummary(1, N=8, n=2, mean_y=10.0, mean_x=0.5, var_y=1.0,
                           var_x=4.0, cov_xy=0.0)
     m = sm.aggregate_moments(sm.DesignSummary((s,)))
-    resolved = sm.resolve_spec(sm.EstimatorSpec(K.T6), m)
-    mse_value, _ = sm.mse.mse_and_bias(resolved, m)
-    assert mse_value < 0.0
+    result = sm.analyze(sm.EstimatorSpec(K.T6), m)
+    assert result.mse < 0.0
     with pytest.raises(ZeroMse):
-        sm.analyze(resolved, m)
+        result.pre
 
 
 def _one_stratum_moments(mean_y, var_x, cov_xy):
@@ -331,14 +339,14 @@ def _one_stratum_moments(mean_y, var_x, cov_xy):
         # optimal w = cov_xybar / (R var_xbar) ~ 2e154 overflows T2's curvature
         (lambda m: sm.analyze(sm.EstimatorSpec(K.T2), m), 1.0, 2.2e-309, 4.7e-155,
          "OverflowError: "),
-        # the same overflow through the helper that replicate calls
-        (lambda m: sm.mse.mse_and_bias(sm.EstimatorSpec(K.T2, p=1.0, a=0.0, b=-2e154), m),
+        # the same overflow at a given shape, as replicate meets it
+        (lambda m: sm.analyze(sm.EstimatorSpec(K.T2, p=1.0, a=0.0, b=-2e154), m),
          1.0, 2.2e-309, 4.7e-155, "OverflowError: "),
         # R var_xbar ~ 5e-401 underflows to zero in the optimal w
         (lambda m: sm.resolve_spec(sm.EstimatorSpec(K.T1), m), 1e-300, 1e-100, 1e-51,
          "ZeroDivisionError: "),
     ],
-    ids=["analyze-overflow", "mse-and-bias-overflow", "resolve-underflow"],
+    ids=["analyze-overflow", "given-shape-overflow", "resolve-underflow"],
 )
 def test_arithmetic_failure_is_computation_error(call, mean_y, var_x, cov_xy, cause):
     m = _one_stratum_moments(mean_y, var_x, cov_xy)
