@@ -28,7 +28,12 @@ any other key is rejected) or
 CSV are read by one ``numpy.loadtxt`` call, which alone decides whether the
 file is accepted; rows are then grouped by stratum with a stable sort, so
 each stratum keeps file order.  Only a file that ``loadtxt`` rejected is
-scanned again line by line, to name the first bad line in the error.
+scanned again line by line, to name the first bad line in the error.  The
+rows of bytes ``loadtxt`` accepted are cached under
+``$XDG_CACHE_HOME/stratmean`` (default ``~/.cache/stratmean``), keyed by
+the sha256 of those bytes, so reading the same bytes again loads them and
+skips the parse; the sidecar, the header check and the grouping run on
+every read.
 
 Every failure prints one ``error:<code>: message`` line on stderr.  Exit
 codes: 0 ok, 2 usage (a bad or missing flag, a numeric flag that is not a
@@ -42,6 +47,7 @@ strict verdict.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import errno
 import io
@@ -49,6 +55,7 @@ import json
 import os
 import re
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 from typing import NoReturn
@@ -234,29 +241,121 @@ def _microdata_from_csv(path: str) -> tuple[Microdata, dict[int, int]]:
         header = next(csv.reader(fh), None)
     if header is None or [h.strip() for h in header] != ["stratum", "y", "x"]:
         raise SchemaError(f"{path}: header must be 'stratum,y,x'")
+    rows = _read_rows(path)
+    if rows.size == 0:
+        raise ParseError(f"{path}: no data rows")
+    # a stable sort keeps file order within each stratum, so the stratum
+    # sums run over the values in the order the file gives them
+    order = np.argsort(rows["s"], kind="stable")
+    labels = rows["s"][order]
+    starts = np.flatnonzero(labels[1:] != labels[:-1]) + 1
+    strata = tuple(
+        MicrodataStratum(int(label), rows["y"][members], rows["x"][members])
+        for label, members in zip(labels[np.r_[0, starts]], np.split(order, starts))
+    )
+    return Microdata(strata, label=Path(path).stem), sizes
+
+
+def _parse_rows(path: str) -> np.ndarray:
+    """The data rows of a CSV as ``_CSV_ROW``, or the ParseError that names
+    the first line ``np.loadtxt`` rejects."""
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             # numpy deprecated, then removed, reading a float cell such as
             # 1.5 into an integer column; while deprecated it only warns
             warnings.simplefilter("error", DeprecationWarning)
-            rows = np.loadtxt(
+            return np.loadtxt(
                 path, dtype=_CSV_ROW, delimiter=",", comments=None, quotechar='"',
                 skiprows=1, ndmin=1, encoding="utf-8",
             )
     except ValueError as exc:
         _raise_bad_line(path, exc)
-    if rows.size == 0:
-        raise ParseError(f"{path}: no data rows")
-    # a stable sort keeps file order within each stratum, so the stratum
-    # sums run over the values in the order the file gives them
-    order = np.argsort(rows["s"], kind="stable")
-    labels, starts = np.unique(rows["s"][order], return_index=True)
-    strata = tuple(
-        MicrodataStratum(int(label), rows["y"][members], rows["x"][members])
-        for label, members in zip(labels, np.split(order, starts[1:]))
-    )
-    return Microdata(strata, label=Path(path).stem), sizes
+
+
+#: Part of every rows-cache key: bump it when ``_CSV_ROW`` or the
+#: ``loadtxt`` arguments of ``_parse_rows`` change, so no entry written by
+#: the old parse is read.
+_ROWS_CACHE_TAG = "rows1"
+#: Entries the rows cache keeps; each store prunes the oldest by mtime.
+_ROWS_CACHE_ENTRIES = 8
+
+
+def _read_rows(path: str) -> np.ndarray:
+    """``_parse_rows`` of the CSV, parsed once per content.
+
+    The rows of bytes that ``loadtxt`` accepted are kept in the user's cache
+    directory as ``.npy`` files named by the sha256 of those bytes, so the
+    next read of the same bytes loads them instead of parsing.  A cache
+    that cannot be read or written only costs the parse.
+    """
+    entry = _rows_cache_entry(path)
+    rows = _load_rows(entry) if entry else None
+    if rows is None:
+        rows = _parse_rows(path)
+        # store only if the bytes did not change while loadtxt read them
+        if entry and _rows_cache_entry(path) == entry:
+            _store_rows(entry, rows)
+    return rows
+
+
+def _rows_cache_entry(path: str) -> Path | None:
+    """The cache file for the CSV's bytes as they are now, or None when the
+    file cannot be read or there is no absolute cache directory."""
+    import hashlib  # here, so that only a microdata-csv read imports it
+
+    root = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(root):  # unset, empty or relative: the XDG default
+        root = os.path.join(os.path.expanduser("~"), ".cache")
+    if not os.path.isabs(root):  # no home directory to expand ~ to
+        return None
+    digest = hashlib.sha256()
+    try:
+        with open(path, "rb") as fh:
+            while chunk := fh.read(1 << 20):
+                digest.update(chunk)
+    except OSError:
+        return None
+    name = f"{_ROWS_CACHE_TAG}-{np.__version__}-{digest.hexdigest()}.npy"
+    return Path(root, "stratmean", name)
+
+
+def _load_rows(entry: Path) -> np.ndarray | None:
+    """The rows a cache entry holds; None when it is missing, cannot be
+    read, or is not a 1-D ``_CSV_ROW`` array."""
+    try:
+        with open(entry, "rb") as fh:
+            rows = np.lib.format.read_array(fh, allow_pickle=False)
+    except (OSError, ValueError):
+        return None
+    if rows.dtype != _CSV_ROW or rows.ndim != 1:
+        return None
+    with contextlib.suppress(OSError):
+        os.utime(entry)  # a hit counts as new for the pruning
+    return rows
+
+
+def _store_rows(entry: Path, rows: np.ndarray) -> None:
+    """Write ``rows`` to ``entry`` whole or not at all, then prune the cache
+    to its ``_ROWS_CACHE_ENTRIES`` newest entries; any OSError leaves it."""
+    cache = entry.parent
+    try:
+        cache.mkdir(mode=0o700, parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=cache, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                np.lib.format.write_array(fh, rows, allow_pickle=False)
+            os.replace(tmp, entry)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+        # the entry just stored sorts last, whatever the mtime resolution
+        entries = sorted(cache.glob("*.npy"), key=lambda p: (p == entry, p.stat().st_mtime))
+        for old in entries[:-_ROWS_CACHE_ENTRIES]:
+            old.unlink(missing_ok=True)
+    except OSError:
+        pass
 
 
 def _raise_bad_line(path: str, reason: Exception) -> NoReturn:

@@ -45,6 +45,7 @@ exactly 100.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -268,15 +269,25 @@ def resolve_spec(spec: EstimatorSpec, m: CombinedMoments) -> EstimatorSpec:
 @_arithmetic_checked
 def analyze(spec: EstimatorSpec, m: CombinedMoments) -> MseResult:
     """Resolve constants and read the spec's first-order MSE and bias off
-    its one form; no PRE is formed here."""
+    its one form; no PRE is formed here.  An MSE or bias that is not finite
+    raises OverflowError naming the label and (k1, k2)."""
     resolved = resolve_spec(spec, m)
     form = quadratic_form(resolved, m)
     k1, k2 = resolved.dual_constants()
+    try:
+        mse, bias = form.value(k1, k2), form.bias(k1, k2)
+    except OverflowError:  # (k1 - 1) ** 2 raises where the products give inf
+        mse = bias = math.inf
+    if not (math.isfinite(mse) and math.isfinite(bias)):
+        raise OverflowError(
+            f"{resolved.label}: first-order MSE or bias at (k1, k2)=({k1!r}, {k2!r}) "
+            "is not finite"
+        )
     return MseResult(
         spec=resolved,
         moments=m,
-        mse=form.value(k1, k2),
-        bias=form.bias(k1, k2),
+        mse=mse,
+        bias=bias,
         shape_unidentified=m.var_xbar == 0.0 and _optimizes_shape(spec),
         singular_system=spec.kind.is_dual and spec.k1 is None and form.singular,
     )

@@ -4,6 +4,10 @@
 summation over the raw published rows, bypassing the package's data model
 entirely.  Tests freeze expected values computed this way so that the
 library is always checked against an independent evaluation path.
+
+Every test session gets its own empty ``XDG_CACHE_HOME``, so the microdata
+rows cache of the tests, and of the CLI processes they start, never writes
+under the user's home.
 """
 
 import math
@@ -57,6 +61,13 @@ def direct_moments(rows, known_mean_x=None, mean_y_scale=None):
         "var_xbar": vx,
         "cov_xybar": vxy,
     }
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _session_cache_home(tmp_path_factory):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache")))
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -383,6 +384,144 @@ class TestMicrodataCsv:
         code, out, err = run_cli(capsys, "moments", "--data", path, "--format", "microdata-csv")
         assert code == 3 and out == ""
         assert err == "error:degenerate-stratum: stratum 9: sample size given, but no units\n"
+
+
+class TestRowsCache:
+    """The rows ``loadtxt`` accepted are cached by the sha256 of the CSV's
+    bytes: a warm read gives what a parse gives, and any other bytes parse."""
+
+    @pytest.fixture
+    def cache(self, tmp_path, monkeypatch):
+        """An empty cache home for one test; returns the cache directory."""
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        return tmp_path / "xdg" / "stratmean"
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        """The paths ``_parse_rows`` was called on."""
+        calls, parse = [], cli._parse_rows
+
+        def counted(path):
+            calls.append(path)
+            return parse(path)
+
+        monkeypatch.setattr(cli, "_parse_rows", counted)
+        return calls
+
+    @staticmethod
+    def frame_text(rows=300, seed=2):
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(1, 4, rows)
+        x = rng.gamma(6.0, 10.0, rows)
+        y = 5.0 + 2.0 * x + rng.normal(0.0, 7.0, rows)
+        return "stratum,y,x\n" + "".join(
+            f"{h},{a!r},{b!r}\n" for h, a, b in zip(labels.tolist(), y.tolist(), x.tolist())
+        )
+
+    def test_warm_read_gives_the_cold_output(self, capsys, tmp_path, cache, parses):
+        path = write_frame(tmp_path, self.frame_text(), {"1": 5, "2": 4, "3": 6})
+        flags = ("--data", path, "--format", "microdata-csv",
+                 "--output-format", "json", "--full-precision")
+        commands = [(cmd,) for cmd in ("moments", "table", "optimize")]
+        commands.append(("simulate", "--reps", "2000", "--seed", "4"))
+
+        def outputs():
+            units = [(s.index, s.y.tobytes(), s.x.tobytes())
+                     for s in cli._microdata_from_csv(path)[0].strata]
+            return units, [run_cli(capsys, *cmd, *flags) for cmd in commands]
+
+        cold = outputs()
+        assert parses == [path] and len(list(cache.iterdir())) == 1
+        assert all(code == 0 and err == "" for code, _, err in cold[1])
+        assert outputs() == cold
+        assert parses == [path]  # every later read loaded the entry
+
+    def test_rewritten_cell_is_a_miss(self, tmp_path, cache, parses):
+        text = "stratum,y,x\n" + "\n".join(GOOD_ROWS) + "\n"
+        path = write_frame(tmp_path, text)
+        assert ingest(path, "microdata-csv") == expected_design()
+        stamp = os.stat(path).st_mtime_ns
+        # same path, size and mtime; one cell differs
+        Path(path).write_text(text.replace("6.5", "6.0"))
+        os.utime(path, ns=(stamp, stamp))
+        changed = ingest(path, "microdata-csv")
+        assert changed.strata[0].mean_x == pytest.approx((2.0 + 6.0 + 4.25) / 3)
+        assert parses == [path, path] and len(list(cache.iterdir())) == 2
+
+    @pytest.mark.parametrize("damage", ["truncated", "float64", "two-dimensional"])
+    def test_unusable_entry_is_parsed_again_and_rewritten(self, tmp_path, cache, parses,
+                                                          damage):
+        path = write_frame(tmp_path, "stratum,y,x\n" + "\n".join(GOOD_ROWS) + "\n")
+        ingest(path, "microdata-csv")
+        (entry,) = cache.iterdir()
+        good = entry.read_bytes()
+        if damage == "truncated":
+            entry.write_bytes(good[: len(good) - 10])
+        else:
+            rows = np.load(entry)
+            np.save(entry, rows["y"] if damage == "float64" else rows.reshape(1, -1))
+        assert ingest(path, "microdata-csv") == expected_design()
+        assert parses == [path, path]
+        assert entry.read_bytes() == good
+
+    @pytest.mark.parametrize("blocked", ["cache home", "cache directory"])
+    def test_unusable_cache_directory_only_costs_the_parse(self, capsys, tmp_path, cache,
+                                                           blocked):
+        path = write_frame(tmp_path, "stratum,y,x\n" + "\n".join(GOOD_ROWS) + "\n")
+        argv = ("table", "--data", path, "--format", "microdata-csv")
+        want = run_cli(capsys, *argv)
+        assert want[0] == 0 and cache.is_dir()
+        # a regular file in place of a directory: every mkdir and open under
+        # it fails, as it would without write permission (tests run as root)
+        shutil.rmtree(cache.parent)
+        blocked_path = cache.parent if blocked == "cache home" else cache
+        blocked_path.parent.mkdir(exist_ok=True)
+        blocked_path.write_text("")
+        assert run_cli(capsys, *argv) == want
+        assert run_cli(capsys, *argv) == want
+        assert blocked_path.read_text() == ""
+
+    def test_rejected_file_is_never_stored(self, capsys, tmp_path, cache):
+        path = write_frame(tmp_path, "stratum,y,x\n1,1.0,2.0\n1,x,3.0\n")
+        for _ in range(2):
+            code, out, err = run_cli(capsys, "moments", "--data", path, "--format", "microdata-csv")
+            assert (code, out) == (3, "")
+            assert err == f"error:parse: {path}: line 3: y value 'x' is not a number\n"
+        assert not cache.exists()
+
+    def test_file_changed_during_the_parse_is_not_stored(self, tmp_path, cache, monkeypatch):
+        path = write_frame(tmp_path, "stratum,y,x\n" + "\n".join(GOOD_ROWS) + "\n")
+        parse = cli._parse_rows
+
+        def parse_then_append(path):
+            rows = parse(path)
+            with open(path, "a") as fh:
+                fh.write("2,9.0,9.0\n")
+            return rows
+
+        monkeypatch.setattr(cli, "_parse_rows", parse_then_append)
+        assert ingest(path, "microdata-csv") == expected_design()
+        assert not cache.exists()
+
+    def test_entry_bound_keeps_the_newest(self, tmp_path, cache, parses):
+        bound = cli._ROWS_CACHE_ENTRIES
+        texts = [self.frame_text(rows=20, seed=seed) for seed in range(bound + 3)]
+        path = write_frame(tmp_path, texts[0], {"1": 2, "2": 2, "3": 2})
+        entries = []
+        for i, text in enumerate(texts[:bound]):
+            Path(path).write_text(text)
+            ingest(path, "microdata-csv")
+            entries.append(cli._rows_cache_entry(path))
+            os.utime(entries[-1], (1e9 + i, 1e9 + i))
+        # a hit renews the first entry, so the next stores prune 1, 2 and 3
+        Path(path).write_text(texts[0])
+        ingest(path, "microdata-csv")
+        for text in texts[bound:]:
+            Path(path).write_text(text)
+            ingest(path, "microdata-csv")
+            entries.append(cli._rows_cache_entry(path))
+        assert len(parses) == bound + 3
+        assert set(cache.iterdir()) == {entries[0], *entries[4:]}
 
 
 class TestCommands:
@@ -778,6 +917,18 @@ class TestExitCodes:
         }[flags[2]]
         assert err == (
             f"error:computation: OverflowError: {family}-family coefficients of {named} are not finite\n"
+        )
+
+    @pytest.mark.parametrize("k1, k2", [("1e200", "0"), ("0", "1e200")])
+    def test_overflowing_dual_constants_are_computation_error(self, capsys, k1, k2):
+        # (k1 - 1) ** 2 overflows, and k2 ** 2 is inf: neither MSE is a number
+        code, out, err = run_cli(
+            capsys, "mse", "--data", "paper-1", "--estimators", "t5", "--k1", k1, "--k2", k2
+        )
+        assert (code, out) == (4, "")
+        assert err == (
+            "error:computation: OverflowError: t5: first-order MSE or bias at "
+            f"(k1, k2)=({float(k1)!r}, {float(k2)!r}) is not finite\n"
         )
 
     def test_nan_first_order_mse_stops_simulate(self, capsys):
