@@ -242,8 +242,6 @@ def _microdata_from_csv(path: str) -> tuple[Microdata, dict[int, int]]:
     if header is None or [h.strip() for h in header] != ["stratum", "y", "x"]:
         raise SchemaError(f"{path}: header must be 'stratum,y,x'")
     rows = _read_rows(path)
-    if rows.size == 0:
-        raise ParseError(f"{path}: no data rows")
     # a stable sort keeps file order within each stratum, so the stratum
     # sums run over the values in the order the file gives them
     order = np.argsort(rows["s"], kind="stable")
@@ -258,27 +256,33 @@ def _microdata_from_csv(path: str) -> tuple[Microdata, dict[int, int]]:
 
 def _parse_rows(path: str) -> np.ndarray:
     """The data rows of a CSV as ``_CSV_ROW``, or the ParseError that names
-    the first line ``np.loadtxt`` rejects."""
+    the first line ``np.loadtxt`` rejects or says there are none."""
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             # numpy deprecated, then removed, reading a float cell such as
             # 1.5 into an integer column; while deprecated it only warns
             warnings.simplefilter("error", DeprecationWarning)
-            return np.loadtxt(
+            rows = np.loadtxt(
                 path, dtype=_CSV_ROW, delimiter=",", comments=None, quotechar='"',
                 skiprows=1, ndmin=1, encoding="utf-8",
             )
     except ValueError as exc:
         _raise_bad_line(path, exc)
+    if rows.size == 0:
+        raise ParseError(f"{path}: no data rows")
+    return rows
 
 
 #: Part of every rows-cache key: bump it when ``_CSV_ROW`` or the
 #: ``loadtxt`` arguments of ``_parse_rows`` change, so no entry written by
 #: the old parse is read.
 _ROWS_CACHE_TAG = "rows1"
-#: Entries the rows cache keeps; each store prunes the oldest by mtime.
+#: Bounds of the rows cache: each store prunes the oldest files by mtime
+#: until at most this many remain, holding at most this many bytes.  Rows
+#: larger than the byte bound (about 11 million) are not stored.
 _ROWS_CACHE_ENTRIES = 8
+_ROWS_CACHE_BYTES = 256 << 20
 
 
 def _read_rows(path: str) -> np.ndarray:
@@ -289,19 +293,29 @@ def _read_rows(path: str) -> np.ndarray:
     next read of the same bytes loads them instead of parsing.  A cache
     that cannot be read or written only costs the parse.
     """
-    entry = _rows_cache_entry(path)
-    rows = _load_rows(entry) if entry else None
+    found = _rows_cache_entry(path)
+    if found is None:
+        return _parse_rows(path)
+    entry, hashed = found
+    rows = _load_rows(entry)
     if rows is None:
         rows = _parse_rows(path)
-        # store only if the bytes did not change while loadtxt read them
-        if entry and _rows_cache_entry(path) == entry:
-            _store_rows(entry, rows)
+        # store only if the file did not change from the hash to the end of
+        # the parse: any write or utime moves its ctime, a replace its inode
+        with contextlib.suppress(OSError):
+            if _file_state(os.stat(path)) == hashed:
+                _store_rows(entry, rows)
     return rows
 
 
-def _rows_cache_entry(path: str) -> Path | None:
-    """The cache file for the CSV's bytes as they are now, or None when the
-    file cannot be read or there is no absolute cache directory."""
+def _file_state(st: os.stat_result) -> tuple[int, ...]:
+    return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
+
+
+def _rows_cache_entry(path: str) -> tuple[Path, tuple[int, ...]] | None:
+    """The cache file for the CSV's bytes as they are now, and the state of
+    the file before they were hashed; None when the file cannot be read or
+    there is no absolute cache directory."""
     import hashlib  # here, so that only a microdata-csv read imports it
 
     root = os.environ.get("XDG_CACHE_HOME", "")
@@ -312,23 +326,24 @@ def _rows_cache_entry(path: str) -> Path | None:
     digest = hashlib.sha256()
     try:
         with open(path, "rb") as fh:
+            state = _file_state(os.fstat(fh.fileno()))
             while chunk := fh.read(1 << 20):
                 digest.update(chunk)
     except OSError:
         return None
     name = f"{_ROWS_CACHE_TAG}-{np.__version__}-{digest.hexdigest()}.npy"
-    return Path(root, "stratmean", name)
+    return Path(root, "stratmean", name), state
 
 
 def _load_rows(entry: Path) -> np.ndarray | None:
     """The rows a cache entry holds; None when it is missing, cannot be
-    read, or is not a 1-D ``_CSV_ROW`` array."""
+    read, or is not a non-empty 1-D ``_CSV_ROW`` array."""
     try:
         with open(entry, "rb") as fh:
             rows = np.lib.format.read_array(fh, allow_pickle=False)
     except (OSError, ValueError):
         return None
-    if rows.dtype != _CSV_ROW or rows.ndim != 1:
+    if rows.dtype != _CSV_ROW or rows.ndim != 1 or rows.size == 0:
         return None
     with contextlib.suppress(OSError):
         os.utime(entry)  # a hit counts as new for the pruning
@@ -337,7 +352,9 @@ def _load_rows(entry: Path) -> np.ndarray | None:
 
 def _store_rows(entry: Path, rows: np.ndarray) -> None:
     """Write ``rows`` to ``entry`` whole or not at all, then prune the cache
-    to its ``_ROWS_CACHE_ENTRIES`` newest entries; any OSError leaves it."""
+    to its bounds; any OSError leaves it."""
+    if rows.nbytes > _ROWS_CACHE_BYTES:
+        return
     cache = entry.parent
     try:
         cache.mkdir(mode=0o700, parents=True, exist_ok=True)
@@ -350,10 +367,15 @@ def _store_rows(entry: Path, rows: np.ndarray) -> None:
             with contextlib.suppress(OSError):
                 os.unlink(tmp)
             raise
-        # the entry just stored sorts last, whatever the mtime resolution
-        entries = sorted(cache.glob("*.npy"), key=lambda p: (p == entry, p.stat().st_mtime))
-        for old in entries[:-_ROWS_CACHE_ENTRIES]:
-            old.unlink(missing_ok=True)
+        # newest first, the entry just stored before all, whatever the mtime
+        # resolution; a temp file left by a killed store ages out like an entry
+        files = [(p, p.stat()) for glob in ("*.npy", "*.tmp") for p in cache.glob(glob)]
+        files.sort(key=lambda f: (f[0] != entry, -f[1].st_mtime_ns))
+        held = 0
+        for kept, (p, st) in enumerate(files):
+            held += st.st_size
+            if kept >= _ROWS_CACHE_ENTRIES or held > _ROWS_CACHE_BYTES:
+                p.unlink(missing_ok=True)
     except OSError:
         pass
 

@@ -481,25 +481,36 @@ class TestRowsCache:
         assert run_cli(capsys, *argv) == want
         assert blocked_path.read_text() == ""
 
-    def test_rejected_file_is_never_stored(self, capsys, tmp_path, cache):
-        path = write_frame(tmp_path, "stratum,y,x\n1,1.0,2.0\n1,x,3.0\n")
+    @pytest.mark.parametrize("data, reason", [
+        ("1,1.0,2.0\n1,x,3.0\n", "line 3: y value 'x' is not a number"),
+        ("", "no data rows"),
+    ])
+    def test_rejected_file_is_never_stored(self, capsys, tmp_path, cache, data, reason):
+        path = write_frame(tmp_path, "stratum,y,x\n" + data)
         for _ in range(2):
             code, out, err = run_cli(capsys, "moments", "--data", path, "--format", "microdata-csv")
             assert (code, out) == (3, "")
-            assert err == f"error:parse: {path}: line 3: y value 'x' is not a number\n"
+            assert err == f"error:parse: {path}: {reason}\n"
         assert not cache.exists()
 
-    def test_file_changed_during_the_parse_is_not_stored(self, tmp_path, cache, monkeypatch):
-        path = write_frame(tmp_path, "stratum,y,x\n" + "\n".join(GOOD_ROWS) + "\n")
+    @pytest.mark.parametrize("change", ["append", "same size and mtime"])
+    def test_file_changed_during_the_parse_is_not_stored(self, tmp_path, cache, monkeypatch,
+                                                         change):
+        text = "stratum,y,x\n" + "\n".join(GOOD_ROWS) + "\n"
+        path = write_frame(tmp_path, text)
         parse = cli._parse_rows
 
-        def parse_then_append(path):
+        def parse_then_change(path):
             rows = parse(path)
-            with open(path, "a") as fh:
-                fh.write("2,9.0,9.0\n")
+            stamp = os.stat(path).st_mtime_ns
+            if change == "append":
+                Path(path).write_text(text + "2,9.0,9.0\n")
+            else:
+                Path(path).write_text(text.replace("6.5", "6.0"))
+                os.utime(path, ns=(stamp, stamp))
             return rows
 
-        monkeypatch.setattr(cli, "_parse_rows", parse_then_append)
+        monkeypatch.setattr(cli, "_parse_rows", parse_then_change)
         assert ingest(path, "microdata-csv") == expected_design()
         assert not cache.exists()
 
@@ -511,7 +522,7 @@ class TestRowsCache:
         for i, text in enumerate(texts[:bound]):
             Path(path).write_text(text)
             ingest(path, "microdata-csv")
-            entries.append(cli._rows_cache_entry(path))
+            entries.append(cli._rows_cache_entry(path)[0])
             os.utime(entries[-1], (1e9 + i, 1e9 + i))
         # a hit renews the first entry, so the next stores prune 1, 2 and 3
         Path(path).write_text(texts[0])
@@ -519,9 +530,31 @@ class TestRowsCache:
         for text in texts[bound:]:
             Path(path).write_text(text)
             ingest(path, "microdata-csv")
-            entries.append(cli._rows_cache_entry(path))
+            entries.append(cli._rows_cache_entry(path)[0])
         assert len(parses) == bound + 3
         assert set(cache.iterdir()) == {entries[0], *entries[4:]}
+
+    def test_byte_bound_keeps_the_newest(self, tmp_path, cache, parses, monkeypatch):
+        path = write_frame(tmp_path, self.frame_text(rows=20, seed=0), {"1": 2, "2": 2, "3": 2})
+        ingest(path, "microdata-csv")
+        (first,) = cache.iterdir()
+        # a temp file a killed store left behind, older than every entry
+        stale = cache / "tmpkilled.tmp"
+        stale.write_bytes(b"\0" * 100)
+        os.utime(stale, (1e9, 1e9))
+        os.utime(first, (1e9 + 1, 1e9 + 1))
+        # room for two entries of 20 rows, not for a third or for 60 rows
+        monkeypatch.setattr(cli, "_ROWS_CACHE_BYTES", 2 * first.stat().st_size + 50)
+        Path(path).write_text(self.frame_text(rows=20, seed=1))
+        ingest(path, "microdata-csv")
+        assert set(cache.iterdir()) == {first, cli._rows_cache_entry(path)[0]}
+        Path(path).write_text(self.frame_text(rows=20, seed=2))
+        ingest(path, "microdata-csv")
+        assert first not in set(cache.iterdir()) and len(list(cache.iterdir())) == 2
+        held = set(cache.iterdir())
+        Path(path).write_text(self.frame_text(rows=60, seed=3))
+        ingest(path, "microdata-csv")
+        assert set(cache.iterdir()) == held and len(parses) == 4
 
 
 class TestCommands:
