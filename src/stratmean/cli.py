@@ -29,11 +29,12 @@ CSV are read by one ``numpy.loadtxt`` call, which alone decides whether the
 file is accepted; rows are then grouped by stratum with a stable sort, so
 each stratum keeps file order.  Only a file that ``loadtxt`` rejected is
 scanned again line by line, to name the first bad line in the error.  The
-rows of bytes ``loadtxt`` accepted are cached under
-``$XDG_CACHE_HOME/stratmean`` (default ``~/.cache/stratmean``), keyed by
-the sha256 of those bytes, so reading the same bytes again loads them and
-skips the parse; the sidecar, the header check and the grouping run on
-every read.
+rows ``loadtxt`` accepted are cached under ``$XDG_CACHE_HOME/stratmean``
+(default ``~/.cache/stratmean``), so reading the file again loads them and
+skips the parse.  A file whose ctime is more than 2 s old is keyed by its
+stat (device, inode, size, mtime, ctime), since any write moves the ctime;
+a newer one by the sha256 of its bytes.  The sidecar, the header check and
+the grouping run on every read.
 
 Every failure prints one ``error:<code>: message`` line on stderr.  Exit
 codes: 0 ok, 2 usage (a bad or missing flag, a numeric flag that is not a
@@ -56,6 +57,7 @@ import os
 import re
 import sys
 import tempfile
+import time
 import warnings
 from pathlib import Path
 from typing import NoReturn
@@ -283,27 +285,33 @@ _ROWS_CACHE_TAG = "rows1"
 #: larger than the byte bound (about 11 million) are not stored.
 _ROWS_CACHE_ENTRIES = 8
 _ROWS_CACHE_BYTES = 256 << 20
+#: A file whose ctime is older than the read by more than this is named by
+#: its state: coarser than any filesystem's timestamps (FAT keeps 2 s), so
+#: any later write moves the ctime away from the one in the name.
+_ROWS_CACHE_SETTLE_NS = 2_000_000_000
 
 
 def _read_rows(path: str) -> np.ndarray:
-    """``_parse_rows`` of the CSV, parsed once per content.
+    """``_parse_rows`` of the CSV, parsed once per state or content.
 
-    The rows of bytes that ``loadtxt`` accepted are kept in the user's cache
-    directory as ``.npy`` files named by the sha256 of those bytes, so the
-    next read of the same bytes loads them instead of parsing.  A cache
-    that cannot be read or written only costs the parse.
+    The rows that ``loadtxt`` accepted are kept in the user's cache
+    directory as ``.npy`` files.  A settled file's entry is named by its
+    stat, which any write moves (the ctime) or a replace (the inode); one
+    written in the last 2 s, whose stat a second write within the ctime's
+    granularity may keep, by the sha256 of its bytes.  A cache that cannot
+    be read or written only costs the parse.
     """
     found = _rows_cache_entry(path)
     if found is None:
         return _parse_rows(path)
-    entry, hashed = found
+    entry, state = found
     rows = _load_rows(entry)
     if rows is None:
         rows = _parse_rows(path)
-        # store only if the file did not change from the hash to the end of
-        # the parse: any write or utime moves its ctime, a replace its inode
+        # store only if the file did not change from its first stat to the
+        # end of the parse: any write or utime moves its ctime, a replace its inode
         with contextlib.suppress(OSError):
-            if _file_state(os.stat(path)) == hashed:
+            if _file_state(os.stat(path)) == state:
                 _store_rows(entry, rows)
     return rows
 
@@ -313,25 +321,29 @@ def _file_state(st: os.stat_result) -> tuple[int, ...]:
 
 
 def _rows_cache_entry(path: str) -> tuple[Path, tuple[int, ...]] | None:
-    """The cache file for the CSV's bytes as they are now, and the state of
-    the file before they were hashed; None when the file cannot be read or
-    there is no absolute cache directory."""
-    import hashlib  # here, so that only a microdata-csv read imports it
-
+    """The cache file for the CSV as it is now, and the state of the file
+    before it was read; None when the file cannot be read or there is no
+    absolute cache directory.  A settled file is named by that state, any
+    other by the sha256 of its bytes."""
+    started = time.time_ns()
     root = os.environ.get("XDG_CACHE_HOME", "")
     if not os.path.isabs(root):  # unset, empty or relative: the XDG default
         root = os.path.join(os.path.expanduser("~"), ".cache")
     if not os.path.isabs(root):  # no home directory to expand ~ to
         return None
-    digest = hashlib.sha256()
     try:
         with open(path, "rb") as fh:
             state = _file_state(os.fstat(fh.fileno()))
-            while chunk := fh.read(1 << 20):
-                digest.update(chunk)
+            key = "-".join(map(str, state))  # five integers, never 64 hex digits
+            if started - state[-1] <= _ROWS_CACHE_SETTLE_NS:  # ctime not settled
+                import hashlib  # here, so that only a hashing read imports it
+                digest = hashlib.sha256()
+                while chunk := fh.read(1 << 20):
+                    digest.update(chunk)
+                key = digest.hexdigest()
     except OSError:
         return None
-    name = f"{_ROWS_CACHE_TAG}-{np.__version__}-{digest.hexdigest()}.npy"
+    name = f"{_ROWS_CACHE_TAG}-{np.__version__}-{key}.npy"
     return Path(root, "stratmean", name), state
 
 

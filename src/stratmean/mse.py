@@ -136,7 +136,7 @@ class MseResult:
     """One analyzed estimator: its resolved spec, first-order MSE and bias.
 
     ``pre`` is formed when it is read, so a result whose MSE is not
-    positive exists, and raises ZeroMse only there.
+    positive exists, and raises ZeroMse, naming the estimator, only there.
     """
 
     spec: EstimatorSpec
@@ -160,7 +160,10 @@ class MseResult:
 
     @property
     def pre(self) -> float:
-        return pre(self.mse, self.moments)
+        try:
+            return pre(self.mse, self.moments)
+        except ZeroMse as exc:
+            raise ZeroMse(f"{self.label}: {exc}") from None
 
 
 def pre(mse_value: float, m: CombinedMoments) -> float:
@@ -207,11 +210,16 @@ def _w_opt(m: CombinedMoments) -> float:
     """MSE-optimal exponent w = cov_xybar / (R var_xbar); T2's delta is -w.
 
     Both reach MSE = var_ybar - cov_xybar**2 / var_xbar.  A zero auxiliary
-    variance leaves w unidentified, and 0 (the plain mean) is returned.
+    variance, or a zero mean_y (R = 0), leaves w unidentified, and 0 (the
+    plain mean) is returned.
     """
-    if m.var_xbar == 0.0:
+    if _shape_unidentified(m):
         return 0.0
     return m.cov_xybar / (m.ratio * m.var_xbar)
+
+
+def _shape_unidentified(m: CombinedMoments) -> bool:
+    return m.var_xbar == 0.0 or m.ratio == 0.0
 
 
 def _optimizes_shape(spec: EstimatorSpec) -> bool:
@@ -288,7 +296,7 @@ def analyze(spec: EstimatorSpec, m: CombinedMoments) -> MseResult:
         moments=m,
         mse=mse,
         bias=bias,
-        shape_unidentified=m.var_xbar == 0.0 and _optimizes_shape(spec),
+        shape_unidentified=_shape_unidentified(m) and _optimizes_shape(spec),
         singular_system=spec.kind.is_dual and spec.k1 is None and form.singular,
     )
 

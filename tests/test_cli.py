@@ -1,12 +1,14 @@
 """CLI: ingestion formats, command output, exit codes, determinism."""
 
 import csv
+import hashlib
 import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -387,14 +389,41 @@ class TestMicrodataCsv:
 
 
 class TestRowsCache:
-    """The rows ``loadtxt`` accepted are cached by the sha256 of the CSV's
-    bytes: a warm read gives what a parse gives, and any other bytes parse."""
+    """The rows ``loadtxt`` accepted are cached by the CSV's stat once its
+    ctime is more than ``_ROWS_CACHE_SETTLE_NS`` old, and by the sha256 of
+    its bytes before: a warm read gives what a parse gives, and any write,
+    replace or mode change is a miss.  Tests of the stat key patch the
+    window to count every file as settled (the ``settled`` fixture)."""
 
     @pytest.fixture
     def cache(self, tmp_path, monkeypatch):
         """An empty cache home for one test; returns the cache directory."""
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
         return tmp_path / "xdg" / "stratmean"
+
+    @pytest.fixture
+    def settled(self, monkeypatch):
+        """Every file counts as settled, so entries are named by the stat."""
+        monkeypatch.setattr(cli, "_ROWS_CACHE_SETTLE_NS", float("-inf"))
+
+    @pytest.fixture
+    def hashes(self, monkeypatch):
+        """The calls to ``hashlib.sha256``, one per hash begun."""
+        calls, sha256 = [], hashlib.sha256
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return sha256(*args, **kwargs)
+
+        monkeypatch.setattr(hashlib, "sha256", counted)
+        return calls
+
+    @staticmethod
+    def next_ctime_tick():
+        """Sleep past the coarse ctime tick (a jiffy, at most 10 ms) of
+        kernels without fine-grained ctimes, so the next change moves it, as
+        the settle window guarantees outside these tests."""
+        time.sleep(0.02)
 
     @pytest.fixture
     def parses(self, monkeypatch):
@@ -493,15 +522,22 @@ class TestRowsCache:
             assert err == f"error:parse: {path}: {reason}\n"
         assert not cache.exists()
 
-    @pytest.mark.parametrize("change", ["append", "same size and mtime"])
+    # the digest key keeps the bare ids the test had before the stat key
+    @pytest.mark.parametrize("change, key", [
+        pytest.param(change, key, id=change if key == "digest" else f"{change}-{key}")
+        for key in ("digest", "stat") for change in ("append", "same size and mtime")
+    ])
     def test_file_changed_during_the_parse_is_not_stored(self, tmp_path, cache, monkeypatch,
-                                                         change):
+                                                         change, key):
         text = "stratum,y,x\n" + "\n".join(GOOD_ROWS) + "\n"
         path = write_frame(tmp_path, text)
         parse = cli._parse_rows
+        if key == "stat":
+            monkeypatch.setattr(cli, "_ROWS_CACHE_SETTLE_NS", float("-inf"))
 
         def parse_then_change(path):
             rows = parse(path)
+            self.next_ctime_tick()
             stamp = os.stat(path).st_mtime_ns
             if change == "append":
                 Path(path).write_text(text + "2,9.0,9.0\n")
@@ -513,6 +549,56 @@ class TestRowsCache:
         monkeypatch.setattr(cli, "_parse_rows", parse_then_change)
         assert ingest(path, "microdata-csv") == expected_design()
         assert not cache.exists()
+
+    def test_warm_read_of_a_settled_file_neither_parses_nor_hashes(self, tmp_path, cache,
+                                                                   settled, parses, hashes):
+        path = write_frame(tmp_path, "stratum,y,x\n" + "\n".join(GOOD_ROWS) + "\n")
+        for _ in range(3):
+            assert ingest(path, "microdata-csv") == expected_design()
+        (entry,) = cache.iterdir()
+        state = "-".join(map(str, cli._file_state(os.stat(path))))
+        assert entry.name == f"{cli._ROWS_CACHE_TAG}-{np.__version__}-{state}.npy"
+        assert parses == [path] and hashes == []
+
+    @pytest.mark.parametrize("change", ["same size and mtime", "replaced by a copy", "chmod"])
+    def test_stat_change_of_a_settled_file_is_a_miss(self, tmp_path, cache, settled, parses,
+                                                     change):
+        text = "stratum,y,x\n" + "\n".join(GOOD_ROWS) + "\n"
+        path = write_frame(tmp_path, text)
+        assert ingest(path, "microdata-csv") == expected_design()
+        self.next_ctime_tick()
+        want = expected_design()
+        if change == "same size and mtime":
+            stamp = os.stat(path).st_mtime_ns
+            Path(path).write_text(text.replace("6.5", "6.0"))
+            os.utime(path, ns=(stamp, stamp))
+        elif change == "replaced by a copy":
+            shutil.copy2(path, tmp_path / "copy.csv")
+            os.replace(tmp_path / "copy.csv", path)
+        else:
+            os.chmod(path, 0o600)
+        got = ingest(path, "microdata-csv")
+        if change == "same size and mtime":
+            assert got.strata[0].mean_x == pytest.approx((2.0 + 6.0 + 4.25) / 3)
+            assert got != want
+        else:
+            assert got == want
+        assert parses == [path, path] and len(list(cache.iterdir())) == 2
+        assert ingest(path, "microdata-csv") == got and len(parses) == 2
+
+    def test_file_written_within_the_settle_window_is_named_by_its_digest(
+            self, tmp_path, cache, parses):
+        assert cli._ROWS_CACHE_SETTLE_NS == 2_000_000_000
+        path = write_frame(tmp_path, "stratum,y,x\n" + "\n".join(GOOD_ROWS) + "\n")
+        digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        states = set()
+        for _ in range(2):
+            states.add("-".join(map(str, cli._file_state(os.stat(path)))))
+            assert ingest(path, "microdata-csv") == expected_design()
+        (entry,) = cache.iterdir()
+        assert entry.name == f"{cli._ROWS_CACHE_TAG}-{np.__version__}-{digest}.npy"
+        assert parses == [path]
+        assert not any(state in p.name for state in states for p in cache.iterdir())
 
     def test_entry_bound_keeps_the_newest(self, tmp_path, cache, parses):
         bound = cli._ROWS_CACHE_ENTRIES
@@ -963,6 +1049,27 @@ class TestExitCodes:
             "error:computation: OverflowError: t5: first-order MSE or bias at "
             f"(k1, k2)=({float(k1)!r}, {float(k2)!r}) is not finite\n"
         )
+
+    @pytest.mark.parametrize("estimator", ["t1", "t2", "t3", "t5"])
+    def test_zero_mean_y(self, capsys, tmp_path, estimator):
+        # these four divided by R var_xbar with R = 0; now R = 0 leaves the
+        # optimal w unidentified, and w = 0 is the plain mean.  T3 and T5
+        # then reach a first-order MSE of 0, which has no PRE
+        doc = json.loads(json.dumps(SUMMARY_DOC))
+        for stratum in doc["strata"]:
+            stratum["mean_y"] = 0.0
+        path = tmp_path / "centred.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "mse", "--data", str(path), "--estimators", estimator,
+                                 "--output-format", "json")
+        if estimator in ("t1", "t2"):
+            assert (code, err) == (0, "")
+            (row,) = json.loads(out)["rows"]
+            assert row["pre"] == 100.0 and row["bias"] == 0.0
+            assert row["w" if estimator == "t1" else "b"] == 0.0
+        else:
+            assert (code, out) == (4, "")
+            assert err == f"error:zero-mse: {estimator}: cannot form PRE for MSE 0.0\n"
 
     def test_nan_first_order_mse_stops_simulate(self, capsys):
         # w = 1e200 overflows T1's Taylor terms, which would make the MSE nan,

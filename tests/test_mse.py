@@ -98,6 +98,15 @@ class TestShapeMse:
         assert res.mse == m.var_ybar
         assert res.shape_unidentified
 
+    @pytest.mark.parametrize("kind", [K.T1, K.T2])
+    def test_optimal_shape_zero_mean_y(self, m1, kind):
+        # R = 0 leaves w unidentified too: the plain mean, not a zero division
+        m = dataclasses.replace(m1, mean_y=0.0)
+        res = analyze(kind, m)
+        assert res.constants == ({"w": 0.0} if kind is K.T1 else t2(0.0))
+        assert res.mse == m.var_ybar and res.bias == 0.0
+        assert res.shape_unidentified
+
     def test_optimum_dominates_scan(self, m1):
         w_grid = np.linspace(-3.0, 3.0, 2001)
         values = [analyze(K.T1, m1, **t1(w)).mse for w in w_grid]
