@@ -32,9 +32,10 @@ scanned again line by line, to name the first bad line in the error.  The
 rows ``loadtxt`` accepted are cached under ``$XDG_CACHE_HOME/stratmean``
 (default ``~/.cache/stratmean``), so reading the file again loads them and
 skips the parse.  A file whose ctime is more than 2 s old is keyed by its
-stat (device, inode, size, mtime, ctime), since any write moves the ctime;
-a newer one by the sha256 of its bytes.  The sidecar, the header check and
-the grouping run on every read.
+stat (device, inode, size, mtime, ctime), a newer one by its sha256.  The
+stat key trusts that a write moves the ctime: not so where ctime is made up
+from mtime (sshfs, some FUSE mounts) or where a network filesystem's clock
+lags this one by over 2 s.  The sidecar, header check and grouping always run.
 
 Every failure prints one ``error:<code>: message`` line on stderr.  Exit
 codes: 0 ok, 2 usage (a bad or missing flag, a numeric flag that is not a
@@ -286,30 +287,31 @@ _ROWS_CACHE_TAG = "rows1"
 _ROWS_CACHE_ENTRIES = 8
 _ROWS_CACHE_BYTES = 256 << 20
 #: A file whose ctime is older than the read by more than this is named by
-#: its state: coarser than any filesystem's timestamps (FAT keeps 2 s), so
-#: any later write moves the ctime away from the one in the name.
+#: its state: coarser than any filesystem's timestamps (FAT keeps 2 s), but
+#: measured by this machine's clock, and moot where ctime copies the mtime.
 _ROWS_CACHE_SETTLE_NS = 2_000_000_000
 
 
 def _read_rows(path: str) -> np.ndarray:
-    """``_parse_rows`` of the CSV, parsed once per state or content.
+    """``_parse_rows`` of the CSV, parsed once per content.
 
     The rows that ``loadtxt`` accepted are kept in the user's cache
-    directory as ``.npy`` files.  A settled file's entry is named by its
-    stat, which any write moves (the ctime) or a replace (the inode); one
-    written in the last 2 s, whose stat a second write within the ctime's
-    granularity may keep, by the sha256 of its bytes.  A cache that cannot
-    be read or written only costs the parse.
+    directory as ``.npy`` files, named by a settled file's stat, else by
+    its sha256.  A cache that cannot be read or written only costs the parse.
     """
     found = _rows_cache_entry(path)
     if found is None:
         return _parse_rows(path)
-    entry, state = found
+    entry, state, hashed = found
     rows = _load_rows(entry)
+    if rows is None and not hashed:  # rows stored before it settled are under its digest
+        found = _rows_cache_entry(path, trust_stat=False)
+        if found and found[1] == state and (rows := _load_rows(found[0])) is not None:
+            with contextlib.suppress(OSError):  # kept as one entry, named by the stat
+                os.replace(found[0], entry)
     if rows is None:
         rows = _parse_rows(path)
-        # store only if the file did not change from its first stat to the
-        # end of the parse: any write or utime moves its ctime, a replace its inode
+        # store only if a write, utime or replace did not move the first stat
         with contextlib.suppress(OSError):
             if _file_state(os.stat(path)) == state:
                 _store_rows(entry, rows)
@@ -320,11 +322,11 @@ def _file_state(st: os.stat_result) -> tuple[int, ...]:
     return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
 
 
-def _rows_cache_entry(path: str) -> tuple[Path, tuple[int, ...]] | None:
-    """The cache file for the CSV as it is now, and the state of the file
-    before it was read; None when the file cannot be read or there is no
-    absolute cache directory.  A settled file is named by that state, any
-    other by the sha256 of its bytes."""
+def _rows_cache_entry(path: str, trust_stat: bool = True) -> tuple[Path, tuple, bool] | None:
+    """The cache file for the CSV as it is now, the state of the file before
+    it was read, and whether it was hashed; None when the file cannot be
+    read or there is no absolute cache directory.  A settled file is named
+    by that state unless ``trust_stat`` is false, any other by its sha256."""
     started = time.time_ns()
     root = os.environ.get("XDG_CACHE_HOME", "")
     if not os.path.isabs(root):  # unset, empty or relative: the XDG default
@@ -335,7 +337,8 @@ def _rows_cache_entry(path: str) -> tuple[Path, tuple[int, ...]] | None:
         with open(path, "rb") as fh:
             state = _file_state(os.fstat(fh.fileno()))
             key = "-".join(map(str, state))  # five integers, never 64 hex digits
-            if started - state[-1] <= _ROWS_CACHE_SETTLE_NS:  # ctime not settled
+            hashed = not trust_stat or started - state[-1] <= _ROWS_CACHE_SETTLE_NS
+            if hashed:
                 import hashlib  # here, so that only a hashing read imports it
                 digest = hashlib.sha256()
                 while chunk := fh.read(1 << 20):
@@ -344,7 +347,7 @@ def _rows_cache_entry(path: str) -> tuple[Path, tuple[int, ...]] | None:
     except OSError:
         return None
     name = f"{_ROWS_CACHE_TAG}-{np.__version__}-{key}.npy"
-    return Path(root, "stratmean", name), state
+    return Path(root, "stratmean", name), state, hashed
 
 
 def _load_rows(entry: Path) -> np.ndarray | None:

@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import time
+import types
 import warnings
 from pathlib import Path
 
@@ -407,6 +408,18 @@ class TestRowsCache:
         monkeypatch.setattr(cli, "_ROWS_CACHE_SETTLE_NS", float("-inf"))
 
     @pytest.fixture
+    def clock(self, monkeypatch):
+        """Sets the clock ``_rows_cache_entry`` reads, in ns after a file's
+        ctime: ``clock(path, ns)``."""
+        now = [0]
+        monkeypatch.setattr(cli, "time", types.SimpleNamespace(time_ns=lambda: now[0]))
+
+        def set_clock(path, ns):
+            now[0] = os.stat(path).st_ctime_ns + ns
+
+        return set_clock
+
+    @pytest.fixture
     def hashes(self, monkeypatch):
         """The calls to ``hashlib.sha256``, one per hash begun."""
         calls, sha256 = [], hashlib.sha256
@@ -417,6 +430,11 @@ class TestRowsCache:
 
         monkeypatch.setattr(hashlib, "sha256", counted)
         return calls
+
+    @staticmethod
+    def state(path):
+        """The stat key of the file as it is now."""
+        return "-".join(map(str, cli._file_state(os.stat(path))))
 
     @staticmethod
     def next_ctime_tick():
@@ -522,18 +540,16 @@ class TestRowsCache:
             assert err == f"error:parse: {path}: {reason}\n"
         assert not cache.exists()
 
-    # the digest key keeps the bare ids the test had before the stat key
     @pytest.mark.parametrize("change, key", [
         pytest.param(change, key, id=change if key == "digest" else f"{change}-{key}")
         for key in ("digest", "stat") for change in ("append", "same size and mtime")
     ])
     def test_file_changed_during_the_parse_is_not_stored(self, tmp_path, cache, monkeypatch,
-                                                         change, key):
+                                                         clock, change, key):
         text = "stratum,y,x\n" + "\n".join(GOOD_ROWS) + "\n"
         path = write_frame(tmp_path, text)
         parse = cli._parse_rows
-        if key == "stat":
-            monkeypatch.setattr(cli, "_ROWS_CACHE_SETTLE_NS", float("-inf"))
+        clock(path, cli._ROWS_CACHE_SETTLE_NS // 2 if key == "digest" else float("inf"))
 
         def parse_then_change(path):
             rows = parse(path)
@@ -553,12 +569,13 @@ class TestRowsCache:
     def test_warm_read_of_a_settled_file_neither_parses_nor_hashes(self, tmp_path, cache,
                                                                    settled, parses, hashes):
         path = write_frame(tmp_path, "stratum,y,x\n" + "\n".join(GOOD_ROWS) + "\n")
-        for _ in range(3):
+        assert ingest(path, "microdata-csv") == expected_design()
+        assert len(hashes) == 1  # a miss looks for rows stored under the digest
+        for _ in range(2):
             assert ingest(path, "microdata-csv") == expected_design()
         (entry,) = cache.iterdir()
-        state = "-".join(map(str, cli._file_state(os.stat(path))))
-        assert entry.name == f"{cli._ROWS_CACHE_TAG}-{np.__version__}-{state}.npy"
-        assert parses == [path] and hashes == []
+        assert entry.name == f"{cli._ROWS_CACHE_TAG}-{np.__version__}-{self.state(path)}.npy"
+        assert parses == [path] and len(hashes) == 1
 
     @pytest.mark.parametrize("change", ["same size and mtime", "replaced by a copy", "chmod"])
     def test_stat_change_of_a_settled_file_is_a_miss(self, tmp_path, cache, settled, parses,
@@ -586,19 +603,53 @@ class TestRowsCache:
         assert parses == [path, path] and len(list(cache.iterdir())) == 2
         assert ingest(path, "microdata-csv") == got and len(parses) == 2
 
-    def test_file_written_within_the_settle_window_is_named_by_its_digest(
-            self, tmp_path, cache, parses):
+    def test_settle_window_is_two_seconds(self):
         assert cli._ROWS_CACHE_SETTLE_NS == 2_000_000_000
+
+    @pytest.mark.parametrize("age", [0, 1, 2], ids=["start", "middle", "end"])
+    def test_file_written_within_the_settle_window_is_named_by_its_digest(
+            self, tmp_path, cache, parses, clock, age):
         path = write_frame(tmp_path, "stratum,y,x\n" + "\n".join(GOOD_ROWS) + "\n")
         digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-        states = set()
         for _ in range(2):
-            states.add("-".join(map(str, cli._file_state(os.stat(path)))))
+            clock(path, age * cli._ROWS_CACHE_SETTLE_NS // 2)
             assert ingest(path, "microdata-csv") == expected_design()
         (entry,) = cache.iterdir()
         assert entry.name == f"{cli._ROWS_CACHE_TAG}-{np.__version__}-{digest}.npy"
         assert parses == [path]
-        assert not any(state in p.name for state in states for p in cache.iterdir())
+
+    def test_file_read_on_both_sides_of_the_window_is_parsed_once(
+            self, tmp_path, cache, parses, hashes, clock):
+        path = write_frame(tmp_path, "stratum,y,x\n" + "\n".join(GOOD_ROWS) + "\n")
+        clock(path, cli._ROWS_CACHE_SETTLE_NS // 2)
+        assert ingest(path, "microdata-csv") == expected_design()
+        clock(path, cli._ROWS_CACHE_SETTLE_NS + 1)
+        for _ in range(2):
+            assert ingest(path, "microdata-csv") == expected_design()
+        (entry,) = cache.iterdir()  # the digest entry, renamed to the stat
+        assert entry.name == f"{cli._ROWS_CACHE_TAG}-{np.__version__}-{self.state(path)}.npy"
+        assert parses == [path] and len(hashes) == 2
+
+    def test_rows_under_a_digest_are_not_renamed_to_a_state_they_do_not_hold(
+            self, tmp_path, cache, parses, clock, monkeypatch):
+        old = "stratum,y,x\n" + "\n".join(GOOD_ROWS) + "\n"
+        path = write_frame(tmp_path, old)
+        clock(path, 0)
+        ingest(path, "microdata-csv")
+        (held,) = cache.iterdir()  # the old bytes' rows, under their digest
+        Path(path).write_text(old.replace("6.5", "6.0"))
+        clock(path, cli._ROWS_CACHE_SETTLE_NS + 1)
+        entry = cli._rows_cache_entry
+
+        def old_bytes_back_before_the_hash(path, trust_stat=True):
+            if not trust_stat:
+                Path(path).write_text(old)
+            return entry(path, trust_stat)
+
+        monkeypatch.setattr(cli, "_rows_cache_entry", old_bytes_back_before_the_hash)
+        assert ingest(path, "microdata-csv") == expected_design()
+        assert list(cache.iterdir()) == [held]  # not renamed to the changed file's stat
+        assert parses == [path, path]
 
     def test_entry_bound_keeps_the_newest(self, tmp_path, cache, parses):
         bound = cli._ROWS_CACHE_ENTRIES
@@ -1052,9 +1103,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("estimator", ["t1", "t2", "t3", "t5"])
     def test_zero_mean_y(self, capsys, tmp_path, estimator):
-        # these four divided by R var_xbar with R = 0; now R = 0 leaves the
-        # optimal w unidentified, and w = 0 is the plain mean.  T3 and T5
-        # then reach a first-order MSE of 0, which has no PRE
+        # R = 0 leaves the optimal w unidentified: w = 0, the plain mean.  T3
+        # and T5 then reach a first-order MSE of 0, which has no PRE
         doc = json.loads(json.dumps(SUMMARY_DOC))
         for stratum in doc["strata"]:
             stratum["mean_y"] = 0.0
